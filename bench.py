@@ -30,9 +30,6 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-# quality actor-pool size: default half the session CPUs (the other half
-# serves the detect+write tasks); overridable for pool-balance experiments
-QUALITY_CONC = max(2, int(os.environ.get("GRAFT_QUALITY_CONCURRENCY", "0")) or NUM_CPUS // 2)
 MULTIPLIER = int(os.environ.get("GRAFT_MULTIPLIER", "120"))
 # cache version: bump whenever sources/pages.py FAMILIES changes, or stale
 # corpora leak into the bench (v4 = 20-family table with ssn/card/toxic)
@@ -117,9 +114,7 @@ def run_bench() -> dict:
     # worker once, so the timed section measures steady-state throughput (a
     # 100 TB job runs for hours; process startup is not throughput)
     warm = rd.read_parquet(pages_path, override_num_blocks=n_blocks)
-    quality_filter(
-        warm.limit(20_000), cfg, quality_concurrency=QUALITY_CONC
-    ).count()
+    quality_filter(warm.limit(20_000), cfg).count()
 
     # --- headline: full quality-filter pipeline, read → ... → write -------
     # best-of-2: this host is a shared VM with documented ±20% steal-time
@@ -134,9 +129,7 @@ def run_bench() -> dict:
         subprocess.run(["rm", "-rf", out_dir], check=False)
         t0 = time.perf_counter()
         ds = rd.read_parquet(pages_path, override_num_blocks=n_blocks)
-        result = quality_filter(
-            ds, bench_cfg, quality_concurrency=QUALITY_CONC
-        )
+        result = quality_filter(ds, bench_cfg)
         result.write_parquet(out_dir)
         runs.append(time.perf_counter() - t0)
     headline = min(runs)

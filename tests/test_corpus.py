@@ -1389,6 +1389,16 @@ class TestWinnowMatchPairs:
         got2 = {(a, b) for a, b in zip(out2["a"], out2["b"])}
         assert (3, 4) in got2 and (8, 9) in got2
 
+    @pytest.mark.parametrize("max_bucket", [2, 3])
+    def test_refuses_bucket_cap_not_above_max_share(self, max_bucket):
+        """A pre-cap at or below max_share would keep over-shared buckets
+        that must be excluded, so the precondition is checked at entry."""
+        from vigil_ray.stages.corpus import winnow_match_pairs
+
+        ds = _ds([{"doc_id": 1, "text": "alfa beta gama delta epsilon zeta"}])
+        with pytest.raises(ValueError, match="max_bucket"):
+            winnow_match_pairs(ds, max_share=3, max_bucket=max_bucket)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestWinnowDistinct:

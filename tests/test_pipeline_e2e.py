@@ -34,7 +34,7 @@ def ray_output(ray_session, pages_table):
     from vigil_ray.pipelines.flagship import quality_filter
 
     ds = rd.from_arrow(pages_table)
-    out = quality_filter(ds, PipelineConfig(), quality_concurrency=2)
+    out = quality_filter(ds, PipelineConfig())
     return out.to_pandas().sort_values("url").reset_index(drop=True)
 
 
@@ -120,7 +120,7 @@ def test_determinism_two_runs(ray_session, pages_table):
     runs = []
     for _ in range(2):
         ds = rd.from_arrow(pages_table)
-        out = quality_filter(ds, PipelineConfig(), quality_concurrency=2)
+        out = quality_filter(ds, PipelineConfig())
         runs.append(
             out.to_pandas()
             .sort_values("url")
@@ -134,15 +134,15 @@ def test_determinism_two_runs(ray_session, pages_table):
 def test_block_layout_invariance(ray_session, pages_table, ray_output):
     """The flagship output is a pure per-document function of the input —
     running the SAME pages through a 16-block layout must reproduce the
-    single-block run column-for-column (actor-pool batching and block
-    boundaries must be invisible)."""
+    single-block run column-for-column (batch and block boundaries must be
+    invisible)."""
     import ray.data as rd
 
     from vigil_ray.pipelines.flagship import quality_filter
 
     ds = rd.from_arrow(pages_table).repartition(16)
     out = (
-        quality_filter(ds, PipelineConfig(), quality_concurrency=2)
+        quality_filter(ds, PipelineConfig())
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)

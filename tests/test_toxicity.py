@@ -60,28 +60,6 @@ class TestStage:
         )
         assert out.loc[0, "text_tox_scrubbed"] == "a clean document with words"
 
-    def test_flagship_scrub_column_mode(self, ray_session):
-        import ray.data as rd
-
-        from vigil_ray.stages.toxicity import toxicity_stage
-
-        ds = rd.from_items(
-            [
-                {
-                    "text": "meu CPF é idiota estúpido",  # toxic + pretend scrub
-                    "text_scrubbed": "meu CPF é [CPF] idiota estúpido",
-                    "keep": True,
-                    "drop_reasons": [],
-                },
-            ]
-        )
-        out = toxicity_stage(
-            ds, PipelineConfig(), scrub_column="text_scrubbed"
-        ).to_pandas()
-        assert out.loc[0, "text_scrubbed"] == "meu CPF é [CPF] [TOXIC] [TOXIC]"
-        assert not out.loc[0, "keep"]
-        assert list(out.loc[0, "drop_reasons"]) == ["toxicity"]
-
 
 class TestFusedPoisonRow:
     def test_poison_row_still_gets_toxicity_gate(self, ray_session, monkeypatch):

@@ -1,7 +1,9 @@
 """The flagship quality-filter pipeline (north_rule).
 
-``read pages → extract html → quality score (actor pool) → PII detect+scrub →
-keep/drop``, all streaming:
+``read pages → extract html → quality score → PII detect+scrub+toxicity →
+keep/drop``, all streaming. Every stage is a task-mode ``map_batches``, so
+Ray fuses the whole per-document path into one operator and no stage holds a
+CPU between batches or after the run:
 
 - the ``html`` payload is dropped immediately after extraction so the big
   binary column never flows through the scoring stages or the shuffle-free
@@ -26,9 +28,7 @@ from vigil_ray.stages.quality import quality_stage
 
 
 def quality_filter(
-    ds: "rd.Dataset",
-    cfg: Optional[PipelineConfig] = None,
-    quality_concurrency=None,
+    ds: "rd.Dataset", cfg: Optional[PipelineConfig] = None
 ) -> "rd.Dataset":
     """Full per-document pipeline over a pages-shaped Dataset.
 
@@ -42,12 +42,10 @@ def quality_filter(
     if "html" in names:
         ds = extract_stage(ds, cfg)
         ds = ds.drop_columns(["html"])
-    ds = quality_stage(ds, cfg, concurrency=quality_concurrency)
-    # detect + toxicity run as ONE fused pass (apply_toxicity=True): PII
+    ds = quality_stage(ds, cfg)
+    # detect + toxicity run as ONE pass (apply_toxicity=True): PII
     # placeholders first, toxicity mask over the result, keep/drop_reasons
-    # flipped for toxic docs. A separate toxicity stage would either cost an
-    # extra string-column round-trip (task mode) or — as an actor pool next
-    # to the quality pool — reserve every session CPU and deadlock the reads.
+    # flipped for toxic docs — no second string-column round-trip.
     ds = detect_stage(ds, cfg, apply_toxicity=True)
     return ds
 

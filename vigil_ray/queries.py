@@ -4274,15 +4274,15 @@ def queries() -> Dict[str, Callable]:
     # first 50 entries per round. Rounds 1-4 together produced driver-green
     # rows for 111 of the 120 queries; the nine that have never had an
     # external row lead the round-5 window so CORRECTNESS_r05 closes
-    # verification over all 120. The two round-5 additions
-    # (docs_dsir_weights, embeddings_semdedup) sit inside the window so
-    # they get an external row in their first round. The §2 correctness
-    # anchors (pages_pii_labels, pages_scrubbed, eval_confusion,
-    # review_items) stay in the window to catch regressions in the core PII
-    # path; the rest of the window re-checks the r4-green queries, and
-    # everything after position ~50 was driver-green in an earlier round and
-    # stays covered by the local two-scale oracle protocol
-    # (.claude/skills/verify).
+    # verification over all 120. The four round-5 additions
+    # (docs_dsir_weights, embeddings_semdedup, docs_winnow_fps,
+    # docs_winnow_match_pairs) sit inside the window so they get an external
+    # row in their first round. The §2 correctness anchors
+    # (pages_pii_labels, pages_scrubbed, eval_confusion, review_items) stay
+    # in the window to catch regressions in the core PII path; the rest of
+    # the window re-checks the r4-green queries, and everything after
+    # position ~50 was driver-green in an earlier round and stays covered by
+    # the local two-scale oracle protocol (.claude/skills/verify).
     return {
         # --- the last nine never-driver-verified queries (r1-r4) ---
         "events_moving_sum": q_events_moving_sum,

@@ -2128,9 +2128,17 @@ def winnow_match_pairs(
     hash-aggregate groupby paid ~25 µs of machinery per group — 5 s over
     the 198k distinct pairs at sf0.1; the sorted-adjacency reduceat form
     is the repo's standard replacement).
-    Output: (a, b, n_shared) with a < b."""
+    Output: (a, b, n_shared) with a < b.
+
+    Raises ``ValueError`` when ``max_bucket <= max_share``: the pre-cap
+    would then hide buckets that must be excluded."""
     from vigil_ray.stages.dedup import all_member_pairs, sorted_bucket_pairs
 
+    if max_bucket <= max_share:
+        raise ValueError(
+            f"max_bucket ({max_bucket}) must exceed max_share ({max_share}) "
+            "for the over-shared exclusion to stay exact"
+        )
     distinct = winnow_fingerprints(
         ds, k=k, w=w, id_col=id_col, text_col=text_col, distinct=True
     )

@@ -55,9 +55,9 @@ class PiiDetectScrub:
     ``apply_toxicity=True`` (the flagship path) folds the toxicity gate into
     the SAME pass: score on the raw text, mask toxic tokens in the scrubbed
     output, flip ``keep``/``drop_reasons`` when present — one string-column
-    extraction and one table rebuild instead of two back-to-back map stages
-    (semantics identical to running ``stages.toxicity`` after this stage;
-    pinned by the e2e oracle)."""
+    extraction and one table rebuild (pinned by the e2e oracle). This is the
+    engine's only keep/drop toxicity gate; ``stages.toxicity`` is the
+    standalone scorer."""
 
     def __init__(
         self, cfg: Optional[PipelineConfig] = None, apply_toxicity: bool = False
@@ -96,8 +96,7 @@ class PiiDetectScrub:
             except Exception:  # noqa: BLE001 — poison row → empty result
                 scrub = ""
             # toxicity is scored OUTSIDE the analyze_document try so a
-            # poison-PII row still gets the toxicity gate (same semantics as
-            # the standalone stages/toxicity.py, which scores every row)
+            # poison-PII row still gets the toxicity gate
             if tox:
                 try:
                     n_tox[i], tox_ratio[i], is_toxic[i] = score_toxicity(

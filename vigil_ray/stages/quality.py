@@ -1,9 +1,11 @@
-"""Language-ID + perplexity + heuristic-rule quality stage (actor pool).
+"""Language-ID + perplexity + heuristic-rule quality stage (task mode).
 
-The scorer holds per-actor state — the character-LM (trained once in
-``__init__``, the KenLM-hosting pattern) and the langid profiles — so it runs
-as an actor-pool ``map_batches`` stage: ``concurrency=N`` callable class,
-setup once per actor, batches through ``__call__``. Appends::
+The scorer is a pure function of each page, so it runs as a task-mode
+``map_batches`` over a small picklable :class:`QualityScorer` instance, and
+Ray fuses it with the extract and detect maps into one operator. The
+character-LM comes from the per-worker singleton
+``kernel.perplexity.default_model()`` at call time: it is built once per
+worker process and its capped memos stay warm across tasks. Appends::
 
     lang_pred, lang_score, ppl, n_words, mean_word_len, symbol_to_word_ratio,
     alpha_word_frac, dup_line_frac, top2gram_frac, top3gram_frac,
@@ -21,7 +23,7 @@ import pyarrow as pa
 
 from vigil_ray.config import PipelineConfig
 from vigil_ray.kernel.langid import classify
-from vigil_ray.kernel.perplexity import CharLM
+from vigil_ray.kernel.perplexity import default_model
 from vigil_ray.kernel.quality import quality_features, quality_rules
 
 _FEATURE_COLS = (
@@ -38,11 +40,10 @@ _FEATURE_COLS = (
 
 
 class QualityScorer:
-    """Actor-pool kernel: model built once per actor, applied per batch."""
+    """Batch kernel; holds only the config, so the pickled instance is small."""
 
     def __init__(self, cfg: Optional[PipelineConfig] = None):
         self.cfg = cfg or PipelineConfig()
-        self.lm = CharLM()  # deterministic in-process "model load"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column(self.cfg.text_column).to_pylist()
@@ -54,7 +55,7 @@ class QualityScorer:
         reasons: list = [[] for _ in range(n)]
 
         qcfg = self.cfg.quality
-        score = self.lm.score
+        score = default_model().score
         ppl = [score(t or "") for t in texts]
         for i, raw in enumerate(texts):
             text = raw or ""
@@ -78,14 +79,11 @@ class QualityScorer:
         return out
 
 
-def quality_stage(ds, cfg: Optional[PipelineConfig] = None, concurrency=None):
-    """Actor-pool quality scoring stage."""
+def quality_stage(ds, cfg: Optional[PipelineConfig] = None):
+    """Task-mode quality scoring stage."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
-        QualityScorer,
-        fn_constructor_kwargs={"cfg": cfg},
+        QualityScorer(cfg),
         batch_format="pyarrow",
         batch_size=cfg.quality_batch_size,
-        concurrency=concurrency if concurrency is not None else (1, 8),
-        num_cpus=1,
     )

@@ -1,24 +1,15 @@
-"""Toxicity scoring + scrub as an actor-pool Ray Data stage.
+"""Standalone toxicity scoring + scrub as a task-mode Ray Data stage.
 
-Hosted exactly like :class:`vigil_ray.stages.quality.QualityScorer`: a
-callable class whose state (the term set — in production, model weights)
-binds once per actor in ``__init__``; batches stream through ``__call__`` as
-zero-copy Arrow tables. Appends::
+Scores the ``text`` column and appends::
 
-    n_tox         int64   toxic-token occurrences in the scored text
-    tox_ratio     float64 toxic tokens / whitespace words
-    is_toxic      bool    min-hits OR min-ratio gate (kernel.toxicity)
+    text_tox_scrubbed  string  the scored text with toxic tokens masked
+    n_tox              int64   toxic-token occurrences in the scored text
+    tox_ratio          float64 toxic tokens / whitespace words
+    is_toxic           bool    min-hits OR min-ratio gate (kernel.toxicity)
 
-and handles scrubbing in one of two modes:
-
-- ``scrub_column="text_scrubbed"`` (flagship): that column is REPLACED by its
-  toxic-masked form, composing with the PII scrub already applied to it;
-- ``scrub_column=None`` (standalone): a new ``text_tox_scrubbed`` column is
-  appended — the scored text with toxic tokens masked.
-
-When the input carries flagship ``keep``/``drop_reasons`` columns, toxic rows
-flip ``keep`` to false and append a ``"toxicity"`` drop reason — the
-north-star "PII/toxicity scrub → keep/drop" gate.
+The flagship does not use this stage: it scores toxicity inside the PII pass
+(``stages.detect.PiiDetectScrub(apply_toxicity=True)``), which also masks the
+PII-scrubbed text and flips ``keep``/``drop_reasons`` for toxic documents.
 """
 
 from __future__ import annotations
@@ -28,107 +19,33 @@ from typing import Optional
 import pyarrow as pa
 
 from vigil_ray.config import PipelineConfig
-from vigil_ray.kernel.toxicity import TOXIC_TERMS, score_toxicity, scrub_toxic
+from vigil_ray.kernel.toxicity import score_toxicity, scrub_toxic
 
 
-class ToxicityScorer:
-    """Actor-pool kernel: term set bound once per actor, batches scored per
-    call."""
-
-    def __init__(
-        self,
-        cfg: Optional[PipelineConfig] = None,
-        scrub_column: Optional[str] = None,
-    ):
-        self.cfg = cfg or PipelineConfig()
-        self.scrub_column = scrub_column
-        # production shape: model-load / vocabulary-compile happens here,
-        # once per actor — never per batch
-        self.terms = TOXIC_TERMS
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tcfg = self.cfg.toxicity
-        texts = batch.column(self.cfg.text_column).to_pylist()
-        n = len(texts)
-        n_tox = [0] * n
-        ratio = [0.0] * n
-        toxic = [False] * n
-        for i, raw in enumerate(texts):
-            n_tox[i], ratio[i], toxic[i] = score_toxicity(
-                raw or "", tcfg.min_hits, tcfg.min_ratio
-            )
-
-        out = batch
-        if self.scrub_column is not None and self.scrub_column in batch.column_names:
-            scrubbed = batch.column(self.scrub_column).to_pylist()
-            masked = [
-                scrub_toxic(s, tcfg.scrub_token) if toxic[i] else s
-                for i, s in enumerate(scrubbed)
-            ]
-            idx = out.column_names.index(self.scrub_column)
-            out = out.set_column(
-                idx, self.scrub_column, pa.array(masked, pa.string())
-            )
-        elif self.scrub_column is None:
-            masked = [
-                scrub_toxic(t or "", tcfg.scrub_token) if toxic[i] else (t or "")
-                for i, t in enumerate(texts)
-            ]
-            out = out.append_column(
-                "text_tox_scrubbed", pa.array(masked, pa.string())
-            )
-
-        out = out.append_column("n_tox", pa.array(n_tox, pa.int64()))
-        out = out.append_column("tox_ratio", pa.array(ratio, pa.float64()))
-        out = out.append_column("is_toxic", pa.array(toxic, pa.bool_()))
-
-        if "keep" in out.column_names and "drop_reasons" in out.column_names:
-            keep = out.column("keep").to_pylist()
-            reasons = out.column("drop_reasons").to_pylist()
-            for i, t in enumerate(toxic):
-                if t:
-                    keep[i] = False
-                    reasons[i] = list(reasons[i]) + ["toxicity"]
-            out = out.set_column(
-                out.column_names.index("keep"), "keep", pa.array(keep, pa.bool_())
-            )
-            out = out.set_column(
-                out.column_names.index("drop_reasons"),
-                "drop_reasons",
-                pa.array(reasons, pa.list_(pa.string())),
-            )
-        return out
+def _toxicity_batch(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    tcfg = cfg.toxicity
+    texts = [t or "" for t in batch.column(cfg.text_column).to_pylist()]
+    scores = [score_toxicity(t, tcfg.min_hits, tcfg.min_ratio) for t in texts]
+    masked = [
+        scrub_toxic(t, tcfg.scrub_token) if toxic else t
+        for t, (_, _, toxic) in zip(texts, scores)
+    ]
+    n_tox, ratio, toxic = zip(*scores) if scores else ((), (), ())
+    return (
+        batch.append_column("text_tox_scrubbed", pa.array(masked, pa.string()))
+        .append_column("n_tox", pa.array(n_tox, pa.int64()))
+        .append_column("tox_ratio", pa.array(ratio, pa.float64()))
+        .append_column("is_toxic", pa.array(toxic, pa.bool_()))
+    )
 
 
-def toxicity_stage(
-    ds,
-    cfg: Optional[PipelineConfig] = None,
-    scrub_column: Optional[str] = None,
-    concurrency=None,
-    pool: bool = True,
-):
-    """Toxicity scoring/scrub stage.
-
-    ``pool=True`` hosts the scorer as an actor pool (the model-hosting shape;
-    standalone use). ``pool=False`` passes a scorer INSTANCE instead — a
-    task-pool map that FUSES with an adjacent task-pool stage (the flagship
-    runs it fused with the detect map): a second fixed-size actor pool in the
-    same pipeline can reserve every session CPU together with the quality
-    pool and deadlock the read tasks (observed at 32 cpus with two 16-actor
-    pools; the term-set state is trivially picklable, so task mode loses
-    nothing)."""
+def toxicity_stage(ds, cfg: Optional[PipelineConfig] = None):
+    """Append toxicity scores and the toxic-masked text to a Dataset with a
+    ``text`` column."""
     cfg = cfg or PipelineConfig()
-    if not pool:
-        return ds.map_batches(
-            ToxicityScorer(cfg, scrub_column),
-            batch_format="pyarrow",
-            batch_size=cfg.quality_batch_size,
-        )
     return ds.map_batches(
-        ToxicityScorer,
-        fn_constructor_kwargs={"cfg": cfg, "scrub_column": scrub_column},
+        _toxicity_batch,
+        fn_kwargs={"cfg": cfg},
         batch_format="pyarrow",
         batch_size=cfg.quality_batch_size,
-        concurrency=concurrency if concurrency is not None else (1, 8),
-        num_cpus=1,
     )
