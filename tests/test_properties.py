@@ -170,7 +170,7 @@ def test_digit_free_rg_keeps_fused_path_equal():
 
 
 # --- fast-gate ≡ regex-spec differentials -----------------------------------
-# The keyword gates (detector._CANDIDATE, patterns._CTX_FAMILIES,
+# The keyword gates (detector.could_have_pii, patterns._CTX_FAMILIES,
 # names._ANY_CONTEXT) are evaluated as literal `in` probes over ONE
 # fold_for_keywords() copy instead of IGNORECASE alternation searches
 # (~30-60 µs/doc → ~2 µs/doc; they run on EVERY document). These tests pin
@@ -180,8 +180,21 @@ def test_digit_free_rg_keeps_fused_path_equal():
 
 import re as _re
 
-from vigil_ray.kernel.detector import _CANDIDATE
 from vigil_ray.kernel.preprocess import fold_for_keywords
+
+# The spec of detector.could_have_pii: one IGNORECASE alternation search.
+_CANDIDATE = _re.compile(
+    r"[\d@①-⓿０-９²³¹⁰-⁹₀-₉]"
+    r"|nome|chamo|cidad|requerente|solicitante|servidor|funcion"
+    # the '(name)[,\s]+(?:CPF|portador)' template can fire on a digit-free
+    # doc ('Maria Silva, portador'), so its anchors must be candidates too
+    # (mirrors names.py _ANY_CONTEXT)
+    r"|cpf|portador"
+    # RX_RG's value class [\d.-]+ is satisfiable by dots/hyphens alone
+    # ('RG--'), so the digit test doesn't cover it — anchor on the keyword
+    r"|\brg\b",
+    _re.IGNORECASE,
+)
 
 # texts biased to straddle the gate boundaries: keyword fragments, the three
 # divergent codepoints, digit lookalikes, and plain filler

@@ -41,9 +41,11 @@ class TestKernel:
 
 class TestStage:
     def test_standalone_stage(self, ray_session):
+        """The toxicity part of the per-document map on its own scores and
+        masks the page text."""
         import ray.data as rd
 
-        from vigil_ray.stages.toxicity import toxicity_stage
+        from vigil_ray.stages.document import document_stage
 
         ds = rd.from_items(
             [
@@ -51,14 +53,14 @@ class TestStage:
                 {"text": "você é um idiota estúpido e eu odeio isso."},
             ]
         )
-        out = toxicity_stage(ds, PipelineConfig()).to_pandas()
+        out = document_stage(ds, PipelineConfig(), ("toxicity",)).to_pandas()
         out = out.sort_values("n_tox").reset_index(drop=True)
         assert list(out["n_tox"]) == [0, 3]
         assert list(out["is_toxic"]) == [False, True]
-        assert out.loc[1, "text_tox_scrubbed"] == (
+        assert out.loc[1, "text_scrubbed"] == (
             "você é um [TOXIC] [TOXIC] e eu [TOXIC] isso."
         )
-        assert out.loc[0, "text_tox_scrubbed"] == "a clean document with words"
+        assert out.loc[0, "text_scrubbed"] == "a clean document with words"
 
 
 class TestFusedPoisonRow:
@@ -68,15 +70,16 @@ class TestFusedPoisonRow:
         import pyarrow as pa
 
         from vigil_ray.stages import detect as detect_mod
+        from vigil_ray.stages import document as document_mod
 
-        real = detect_mod.analyze_document
+        real = document_mod.analyze_document
 
         def poison(raw, token):
             if raw == "POISON idiota estúpido":
                 raise ValueError("boom")
             return real(raw, token)
 
-        monkeypatch.setattr(detect_mod, "analyze_document", poison)
+        monkeypatch.setattr(document_mod, "analyze_document", poison)
         batch = pa.table({"text": ["POISON idiota estúpido", "fine text"]})
         out = detect_mod.PiiDetectScrub(
             PipelineConfig(), apply_toxicity=True

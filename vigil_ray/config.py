@@ -94,7 +94,8 @@ class PipelineConfig:
     toxicity: ToxicityConfig = field(default_factory=ToxicityConfig)
 
     # Ray execution knobs (sized for one 32-cpu node; scale linearly per node).
-    detect_batch_size: int = 2048
+    # quality_batch_size: rows per batch of every per-document map (the
+    # flagship's fused map, detect, review)
     quality_batch_size: int = 4096
     ner_batch_size: int = 64
     ner_concurrency: int = 4
@@ -103,3 +104,9 @@ class PipelineConfig:
     # analog is the single in-process pipeline, SURVEY §2.4 T1
     ner_num_cpus: float = 1.0
     ner_num_gpus: float = 0.0
+
+    @property
+    def detect_batch_size(self) -> int:
+        """Read-only alias of :attr:`quality_batch_size`, the one row-batch
+        knob of the per-document maps."""
+        return self.quality_batch_size

@@ -35,30 +35,21 @@ CONTEXTUAL_TYPES = frozenset({"contexto_1pessoa", "endereco", "contato"})
 # (fullwidth ０-９, circled ①-⑳, super/subscripts) so normalization cannot
 # surface a digit the prefilter missed. Rows failing this cannot produce a
 # non-empty result, so hot batches skip the ~40-regex cascade entirely.
+#
+# The spec is one IGNORECASE alternation regex (kept as ``_CANDIDATE`` in
+# tests/test_properties.py and differentially tested there); it costs
+# ~62 µs/doc and runs on EVERY document of the corpus. This decomposition is
+# ~6 µs: a case-free character-class scan, then C-speed literal `in` probes
+# over one fold_for_keywords() copy (exactly re.IGNORECASE-equivalent for
+# ASCII literals — see preprocess.py), then the lone word-boundary case as a
+# guarded regex. The digit class needs no IGNORECASE: its only cased members
+# (the circled-alphanumeric block ①-⓿ spans Ⓐ-Ⓩ/ⓐ-ⓩ) include both cases
+# already. The 'cpf'/'portador' words cover the '(name)[,\s]+(?:CPF|portador)'
+# template, which can fire on a digit-free doc ('Maria Silva, portador'); the
+# \brg\b regex covers RX_RG, whose value class [\d.-]+ is satisfiable by
+# dots/hyphens alone ('RG--').
 import re as _re
 
-_CANDIDATE = _re.compile(
-    r"[\d@①-⓿０-９²³¹⁰-⁹₀-₉]"
-    r"|nome|chamo|cidad|requerente|solicitante|servidor|funcion"
-    # the '(name)[,\s]+(?:CPF|portador)' template can fire on a digit-free
-    # doc ('Maria Silva, portador'), so its anchors must be candidates too
-    # (mirrors names.py _ANY_CONTEXT)
-    r"|cpf|portador"
-    # RX_RG's value class [\d.-]+ is satisfiable by dots/hyphens alone
-    # ('RG--'), so the digit test doesn't cover it — anchor on the keyword
-    r"|\brg\b",
-    _re.IGNORECASE,
-)
-
-# Fast decomposition of _CANDIDATE (the spec; kept above and differentially
-# tested in tests/test_properties.py): a case-free character-class scan, then
-# C-speed literal `in` probes over one fold_for_keywords() copy (exactly
-# re.IGNORECASE-equivalent for ASCII literals — see preprocess.py), then the
-# lone word-boundary case as a guarded regex. One IGNORECASE alternation
-# search costs ~62 µs/doc (it runs on EVERY document of the corpus); this
-# path is ~6 µs. The digit class needs no IGNORECASE: its only cased members
-# (the circled-alphanumeric block ①-⓿ spans Ⓐ-Ⓩ/ⓐ-ⓩ) include both cases
-# already.
 _CANDIDATE_CLASS = _re.compile(r"[\d@①-⓿０-９²³¹⁰-⁹₀-₉]")
 _CANDIDATE_WORDS = (
     "nome", "chamo", "cidad", "requerente", "solicitante", "servidor",

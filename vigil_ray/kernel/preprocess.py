@@ -50,7 +50,7 @@ def normalize_many(values: Iterable[Optional[object]]) -> List[str]:
 
 # --- exact keyword casefold -------------------------------------------------
 #
-# The detection gates (detector._CANDIDATE, patterns._CTX_FAMILIES,
+# The detection gates (detector.could_have_pii, patterns._CTX_FAMILIES,
 # names._ANY_CONTEXT) are boolean "does any keyword occur, case-insensitive"
 # prefilters. One IGNORECASE alternation `re.search` costs ~30-60 µs per
 # document; `keyword in text.lower()` is ~100× cheaper but NOT equivalent to

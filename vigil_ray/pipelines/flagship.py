@@ -1,13 +1,16 @@
 """The flagship quality-filter pipeline (north_rule).
 
 ``read pages → extract html → quality score → PII detect+scrub+toxicity →
-keep/drop``, all streaming. Every stage is a task-mode ``map_batches``, so
-Ray fuses the whole per-document path into one operator and no stage holds a
-CPU between batches or after the run:
+keep/drop``, all streaming, as ONE task-mode ``map_batches`` over the
+hand-fused per-document code (``stages.document``). Ray fuses it with
+the write into one operator, and no stage holds a CPU between batches or
+after the run:
 
-- the ``html`` payload is dropped immediately after extraction so the big
-  binary column never flows through the scoring stages or the shuffle-free
-  tail — at 100 TB the payload is the dominant byte volume;
+- the ``html`` payload is read once per batch and never emitted, so the big
+  binary column never flows past extraction — at 100 TB the payload is the
+  dominant byte volume;
+- each input column is read with one ``to_pylist`` and the output is one
+  table build per batch;
 - no stage materializes the dataset; consumption is ``write_parquet`` or an
   aggregate.
 
@@ -22,9 +25,7 @@ from typing import Optional
 import ray.data as rd
 
 from vigil_ray.config import PipelineConfig
-from vigil_ray.stages.detect import detect_stage
-from vigil_ray.stages.extract import extract_stage
-from vigil_ray.stages.quality import quality_stage
+from vigil_ray.stages.document import PARTS, document_stage
 
 
 def quality_filter(
@@ -37,16 +38,19 @@ def quality_filter(
     tipos_detectados, detalhes, sinais_contextuais, confianca, text_scrubbed,
     n_tox, tox_ratio, is_toxic.
     """
-    cfg = cfg or PipelineConfig()
-    names = ds.schema().names
-    if "html" in names:
-        ds = extract_stage(ds, cfg)
-        ds = ds.drop_columns(["html"])
-    ds = quality_stage(ds, cfg)
-    # detect + toxicity run as ONE pass (apply_toxicity=True): PII
-    # placeholders first, toxicity mask over the result, keep/drop_reasons
-    # flipped for toxic docs — no second string-column round-trip.
-    ds = detect_stage(ds, cfg, apply_toxicity=True)
+    parts = PARTS if "html" in ds.schema().names else PARTS[1:]
+    ds = document_stage(ds, cfg, parts)
+    # Ray Data's per-operator reservation (ReservationOpResourceAllocator)
+    # splits half the session's CPUs evenly over the eligible operators and
+    # shares the rest, so the read and the fused per-document operator each
+    # get a budget of about one task on a small session, and the costly
+    # operator's tasks run one after the other while the cheap read idles its
+    # share. Off, the per-document operator may use every CPU the session
+    # has. The flag is set on this Dataset's own context, never on
+    # DataContext.get_current(); that context object is shared with the
+    # input Dataset's lineage (map_batches copies the plan, not its
+    # context), so the input Dataset executes without the reservation too.
+    ds.context.op_resource_reservation_enabled = False
     return ds
 
 

@@ -2327,31 +2327,25 @@ def q_doc_top_tfidf(sf_dir: str):
     def partial_best(batch: pa.Table) -> pa.Table:
         """Vectorized per-block reduction: one best (score, term) per doc in
         this block, so the doc-side shuffle carries ≤1 row per (block, doc)."""
-        pdf = batch.to_pandas()
-        if not len(pdf):
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
         # idf per distinct df value with math.log — bit-identical to the SQL
         # oracle's ln() at the 6-dp rounding boundary
-        idf = {int(d): math.log(n_docs / d) for d in pdf["df"].unique()}
-        pdf["score"] = [
-            round(tf * idf[d], 6) for tf, d in zip(pdf["tf"], pdf["df"])
+        dfs, inv = np.unique(batch.column("df").to_numpy(), return_inverse=True)
+        idf = [math.log(n_docs / d) for d in dfs.tolist()]
+        score = [
+            round(tf * idf[i], 6)
+            for tf, i in zip(batch.column("tf").to_pylist(), inv.tolist())
         ]
-        pdf = pdf.sort_values(
-            ["doc_id", "score", "term"], ascending=[True, False, True], kind="stable"
-        ).drop_duplicates("doc_id")
-        return pa.table(
+        best = pa.table(
             {
-                "doc_id": pa.array(pdf["doc_id"].to_numpy(np.int64), pa.int64()),
-                "term": pa.array(pdf["term"].tolist(), pa.string()),
-                "score": pa.array(pdf["score"].to_numpy(np.float64), pa.float64()),
+                "doc_id": pc.cast(batch.column("doc_id"), pa.int64()),
+                "term": pc.cast(batch.column("term"), pa.string()),
+                "score": pa.array(score, pa.float64()),
             }
-        )
+        ).sort_by([("doc_id", "ascending"), ("score", "descending"), ("term", "ascending")])
+        doc = best.column("doc_id").to_numpy()
+        first = np.ones(len(doc), bool)
+        first[1:] = doc[1:] != doc[:-1]
+        return best.take(np.flatnonzero(first))
 
     partials = joined.map_batches(partial_best, batch_format="pyarrow")
 
@@ -2894,13 +2888,16 @@ def q_pages_lang_stats(sf_dir: str):
 
 def q_pages_toxicity(sf_dir: str):
     """Toxicity score + scrub over the pages corpus (north_star: "PII/toxicity
-    scrub"). Standalone stage mode: scores ``text`` and emits the toxic-masked
-    form; ground truth is family arithmetic (family 19 injects exactly three
-    toxic tokens, base docs' closed vocabulary contains none)."""
-    from vigil_ray.stages.toxicity import toxicity_stage
+    scrub"): the toxicity columns of the flagship's per-document map, run
+    with its ``toxicity`` part alone, which masks the page ``text`` itself;
+    ground truth is family arithmetic (family 19 injects exactly three toxic
+    tokens, base docs' closed vocabulary contains none)."""
+    from vigil_ray.stages.document import document_stage
 
-    ds = toxicity_stage(_pages_ds(sf_dir), PipelineConfig())
-    return ds.select_columns(["url", "n_tox", "is_toxic", "text_tox_scrubbed"])
+    ds = document_stage(_pages_ds(sf_dir), PipelineConfig(), ("toxicity",))
+    return ds.select_columns(["url", "n_tox", "is_toxic", "text_scrubbed"]).rename_columns(
+        {"text_scrubbed": "text_tox_scrubbed"}
+    )
 
 
 def q_confidence_histogram(sf_dir: str):

@@ -1,34 +1,18 @@
-"""HTML → text extraction stage and the byte-identity audit column.
-
-Extraction is the pure function ``kernel.html.extract_text``; the stage
-replaces the ``text`` column with the extracted body and appends
-``extract_ok`` — whether extraction reproduced the shipped ``text`` column
-byte-for-byte (the BASELINE per-url invariant). Downstream stages operate on
-the extracted text, so the invariant is load-bearing, not decorative.
-"""
+"""HTML → text extraction: the ``extract`` part of the per-document map
+(``stages.document``): ``text`` becomes the extracted body and
+``extract_ok`` records whether it reproduced the shipped ``text``."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import pyarrow as pa
 
-from vigil_ray.config import PipelineConfig
-from vigil_ray.kernel.html import extract_text
+from vigil_ray.stages.document import DocumentOp
+
+_EXTRACT = DocumentOp(parts=("extract",))
 
 
 def _extract_batch(batch: pa.Table) -> pa.Table:
-    htmls = batch.column("html").to_pylist()
-    shipped = batch.column("text").to_pylist()
-    extracted = [extract_text(h) for h in htmls]
-    ok = [e == s for e, s in zip(extracted, shipped)]
-    idx = batch.schema.get_field_index("text")
-    out = batch.set_column(idx, "text", pa.array(extracted, pa.string()))
-    return out.append_column("extract_ok", pa.array(ok, pa.bool_()))
-
-
-def extract_stage(ds, cfg: Optional[PipelineConfig] = None):
-    cfg = cfg or PipelineConfig()
-    return ds.map_batches(
-        _extract_batch, batch_format="pyarrow", batch_size=cfg.quality_batch_size
-    )
+    """The extract part alone; unlike the flagship, the result keeps
+    ``html`` at its input position."""
+    i = batch.schema.get_field_index("html")
+    return _EXTRACT(batch).add_column(i, batch.schema.field(i), batch.column(i))

@@ -67,7 +67,7 @@ def review_stage(ds, cfg: Optional[PipelineConfig] = None, sort: bool = True):
     out = ds.map_batches(
         ReviewExplode(cfg),
         batch_format="pyarrow",
-        batch_size=cfg.detect_batch_size,
+        batch_size=cfg.quality_batch_size,
     )
     if sort:
         out = out.sort("prioridade_rank")
