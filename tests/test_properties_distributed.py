@@ -45,18 +45,6 @@ def test_truncate_bucket_invariants(members, cap):
     assert dropped == max(0, len(members) - cap)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=-(10**12), max_value=10**12))
-def test_bloom_positions_deterministic_and_bounded(key):
-    from vigil_ray.stages.corpus import _BLOOM_K, _bloom_positions
-
-    m = 1 << 16
-    a = _bloom_positions(key, m)
-    b = _bloom_positions(key, m)
-    assert a == b and len(a) == _BLOOM_K
-    assert all(0 <= p < m for p in a)
-
-
 # --------------------------------------------------------------------------
 # Dataset-level invariants vs a single-process simulator — few examples
 # --------------------------------------------------------------------------

@@ -287,3 +287,181 @@ class TestWebtextKernelProperties:
         rev = batch_edit_distances(tb, ta)
         assert (fwd == rev).all()
         assert (batch_edit_distances(ta, ta) == 0).all()
+
+
+# rows for the sorted-run reducers: (key in 0..3 — heavy ties, two small
+# values — ties inside a key too). One extra key ("span") is dealt into
+# every input block, so after the input split it touches all of them.
+reducer_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=0,
+    max_size=50,
+)
+
+
+def _reducer_table(rows, nblocks, key_type, span):
+    """Arrow table (k, v, w, vid) with ``k`` as int32 or string. With
+    ``span`` a key 9 row is dealt into each of the ``nblocks`` slices that
+    ``repartition`` cuts, so that key touches every input block."""
+    import pyarrow as pa
+
+    rows = list(rows)
+    if span:
+        step = max(1, -(-len(rows) // nblocks))
+        for i in reversed(range(nblocks)):
+            rows.insert(min(i * step, len(rows)), (9, i % 3 - 1, i % 2))
+    keys = [r[0] for r in rows]
+    return pa.table(
+        {
+            "k": pa.array(keys, pa.int32())
+            if key_type == "int32"
+            else pa.array([f"key{x}" for x in keys], pa.string()),
+            "v": pa.array([r[1] for r in rows], pa.int64()),
+            "w": pa.array([r[2] for r in rows], pa.int64()),
+            "vid": pa.array(range(len(rows)), pa.int64()),
+        }
+    )
+
+
+def _arrow_ds(tbl, nblocks):
+    import ray.data as rd
+
+    return rd.from_arrow(tbl).repartition(nblocks)
+
+
+def _rows_of(ds, cols):
+    """Output rows as sorted tuples, plus each non-empty block's type of
+    ``cols[0]``. One execution: a re-run would repeat worker-side
+    truncation warnings."""
+    tables = [
+        t
+        for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
+    rows = sorted(
+        tuple(r[c] for c in cols) for t in tables for r in t.to_pylist()
+    )
+    return rows, [t.schema.field(cols[0]).type for t in tables]
+
+
+_REDUCER_GIVEN = dict(
+    rows=reducer_rows,
+    nblocks=st.integers(min_value=1, max_value=7),
+    key_type=st.sampled_from(["int32", "string"]),
+    span=st.booleans(),
+)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestSortedRunReducerProperties:
+    """Differential: the four users of the boundary-deferral protocol
+    (group argmin, group sum/min/max, bucket pairs, distinct pairs) against
+    plain Python on random ties, block layouts, a key touching every input
+    block, empty input, and int32 and string keys."""
+
+    @given(desc=st.tuples(st.booleans(), st.booleans()), **_REDUCER_GIVEN)
+    @settings(**_SETTINGS)
+    def test_group_min_matches_python(self, rows, nblocks, key_type, span, desc):
+        from vigil_ray.stages.corpus import sorted_group_min
+
+        tbl = _reducer_table(rows, nblocks, key_type, span)
+        out = sorted_group_min(
+            _arrow_ds(tbl.select(["k", "v", "w"]), nblocks),
+            ["k"],
+            ["v", "w"],
+            descending=list(desc),
+        )
+        got, types = _rows_of(out, ["k", "v", "w"])
+        best = {}
+        for r in tbl.to_pylist():
+            order = tuple(-r[c] if d else r[c] for c, d in zip("vw", desc))
+            if r["k"] not in best or order < best[r["k"]][0]:
+                best[r["k"]] = (order, (r["k"], r["v"], r["w"]))
+        assert got == sorted(t for _, t in best.values())
+        assert all(t == tbl.schema.field("k").type for t in types)
+
+    @given(**_REDUCER_GIVEN)
+    @settings(**_SETTINGS)
+    def test_group_agg_matches_python(self, rows, nblocks, key_type, span):
+        from vigil_ray.stages.corpus import sorted_group_agg
+
+        tbl = _reducer_table(rows, nblocks, key_type, span)
+        out = sorted_group_agg(
+            _arrow_ds(tbl.select(["k", "v", "w"]), nblocks),
+            ["k"],
+            [("v", "sum", "s"), ("v", "min", "lo"), ("w", "max", "hi")],
+        )
+        got, types = _rows_of(out, ["k", "s", "lo", "hi"])
+        groups = {}
+        for r in tbl.to_pylist():
+            groups.setdefault(r["k"], []).append(r)
+        want = sorted(
+            (k, sum(r["v"] for r in g), min(r["v"] for r in g), max(r["w"] for r in g))
+            for k, g in groups.items()
+        )
+        assert got == want
+        assert all(t == tbl.schema.field("k").type for t in types)
+
+    @given(max_bucket=st.integers(min_value=2, max_value=6), **_REDUCER_GIVEN)
+    @settings(**_SETTINGS)
+    def test_bucket_pairs_and_drop_count_match_python(
+        self, rows, nblocks, key_type, span, max_bucket
+    ):
+        import tempfile
+        from pathlib import Path
+        from unittest import mock
+
+        from vigil_ray.stages import dedup
+
+        tbl = _reducer_table(rows, nblocks, key_type, span)
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "dropped"
+            log.touch()
+
+            def record(stage, n_buckets, n_dropped):
+                # runs in the driver (boundary runs) or in a Ray worker
+                # (interior runs): append to a file both can reach
+                with open(log, "a") as f:
+                    f.write(f"{n_buckets} {n_dropped}\n")
+
+            with mock.patch.object(dedup, "_warn_truncated", record):
+                out = dedup.sorted_bucket_pairs(
+                    _arrow_ds(tbl.select(["k", "vid"]), nblocks),
+                    ["k"],
+                    ["vid"],
+                    dedup.all_member_pairs,
+                    max_bucket,
+                    "differential",
+                )
+                got, _ = _rows_of(out, ["a", "b"])
+            warned = [tuple(map(int, x.split())) for x in log.read_text().split("\n") if x]
+        buckets = {}
+        for r in tbl.to_pylist():
+            buckets.setdefault(r["k"], []).append(r["vid"])
+        want, n_trunc, n_dropped = [], 0, 0
+        for members in buckets.values():
+            kept = sorted(members)[:max_bucket]
+            if len(members) > max_bucket:
+                n_trunc += 1
+                n_dropped += len(members) - max_bucket
+            want += [(a, b) for i, a in enumerate(kept) for b in kept[i + 1 :]]
+        assert got == sorted(want)
+        assert sum(b for b, _ in warned) == n_trunc
+        assert sum(d for _, d in warned) == n_dropped
+
+    @given(**_REDUCER_GIVEN)
+    @settings(**_SETTINGS)
+    def test_distinct_pairs_match_python(self, rows, nblocks, key_type, span):
+        from vigil_ray.stages.corpus import sorted_group_agg
+
+        tbl = _reducer_table(rows, nblocks, key_type, span)
+        # (a, b) = (k, v): duplicate pairs from the key and value ties
+        pairs = tbl.select(["k", "v"]).rename_columns(["a", "b"])
+        out = sorted_group_agg(_arrow_ds(pairs, nblocks), ["a", "b"], [])
+        got, types = _rows_of(out, ["a", "b"])
+        assert got == sorted(set(zip(*pairs.to_pydict().values())))
+        assert all(t == pairs.schema.field("a").type for t in types)

@@ -82,7 +82,6 @@ class PipelineConfig:
     key_column: str = "url"
     use_ner: bool = False            # reference --no-ner default path in CI
     ner_model: str = DEFAULT_NER_MODEL
-    enable_review: bool = True
     scrub_token: str = "[{tipo}]"    # template for redacted spans
     emit_details: bool = True        # detalhes/sinais list-of-struct columns
                                      # (False skips building them — the label,

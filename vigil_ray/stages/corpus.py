@@ -233,98 +233,39 @@ def sorted_group_min(
 ):
     """One row per distinct key: the row FIRST in the (key_cols + value_cols)
     sort order — the groupby-argmin/argmax primitive on the sorted-adjacency
-    shape (see ``dedup.sorted_bucket_pairs``): Ray's groupby aggregate pays
+    shape (``runs.reduce_sorted_runs``): Ray's groupby aggregate pays
     ~25 µs of machinery per group, a native sort does not.
 
     ``descending`` flags apply to the VALUE columns (keys always ascend), so
     e.g. ``descending=[True, False]`` on values (score, term) yields the
     per-key argmax-by-score with term tie-break.
 
-    Sorting makes each run's FIRST row its winner, so interior runs reduce
-    to a vectorized ``take(run_starts)``; only each block's first and last
-    run (the ones that can straddle a boundary) defer their candidate row to
-    the driver, which keeps the best per key across adjacent blocks — ≤2
-    single rows per block, never buckets."""
-    import ray.data as rd
+    Sorting makes each run's FIRST row its winner, so every run reduces to
+    a vectorized ``take(run_starts)``; the driver re-sorts the ≤2 deferred
+    candidate rows per block the same way and keeps each key's first."""
+    from vigil_ray.stages.blocks import coalesce_blocks
+    from vigil_ray.stages.runs import reduce_sorted_runs, run_starts
 
     key_cols = list(key_cols)
-    value_cols = list(value_cols)
-    all_cols = key_cols + value_cols
+    all_cols = key_cols + list(value_cols)
     desc = [False] * len(key_cols) + list(
         descending if descending is not None else [False] * len(value_cols)
     )
+    order = [(c, "descending" if d else "ascending") for c, d in zip(all_cols, desc)]
     # compact: a sort leaves empty blocks that map_batches passes through as
     # zero-column join poison downstream (blocks.py); dropping them here is
     # free (the sort already materialized)
-    from vigil_ray.stages.blocks import coalesce_blocks
-
     ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(all_cols, descending=desc))
 
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    def firsts(batch: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+        return batch.select(all_cols).take(pa.array(starts[runs], pa.int64()))
 
-    def _run_starts(batch) -> np.ndarray:
-        return _run_starts_impl(batch, key_cols)
+    def best(deferred: pa.Table) -> pa.Table:
+        deferred = deferred.sort_by(order)
+        starts = run_starts(deferred, key_cols)
+        return firsts(deferred, starts, np.arange(len(starts)))
 
-    def boundary_candidates(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # project the empty block too — a raw empty batch would carry a
-            # different column set than the non-empty path's select()
-            return batch.slice(0, 0).select(all_cols)
-        starts = _run_starts(batch)
-        picks = [int(starts[0])] if len(starts) == 1 else [int(starts[0]), int(starts[-1])]
-        return batch.take(pa.array(picks, pa.int64())).select(all_cols)
-
-    deferred = ds_sorted.map_batches(
-        boundary_candidates, batch_format="pyarrow", batch_size=None
-    ).take_all()
-
-    value_desc = list(descending) if descending is not None else [False] * len(value_cols)
-
-    def _order_key(v: tuple) -> tuple:
-        # honor per-column descending in the driver merge; descending is
-        # numeric-only (strings can't be negated — none of the callers need it)
-        out = []
-        for x, d in zip(v, value_desc):
-            if d:
-                if not isinstance(x, (int, float)):
-                    raise TypeError("descending sorted_group_min values must be numeric")
-                out.append(-x)
-            else:
-                out.append(x)
-        return tuple(out)
-
-    best: dict = {}
-    for r in deferred:
-        k = tuple(r[c] for c in key_cols)
-        v = tuple(r[c] for c in value_cols)
-        if k not in best or _order_key(v) < _order_key(best[k]):
-            best[k] = v
-    # build the driver rows with the sorted ds's exact column types
-    schema = ds_sorted.schema()
-    if schema is None or not deferred:
-        # empty input (a fully empty materialized Dataset has no schema):
-        # empty output, same (lack of) schema
-        return ds_sorted
-    types = {name: t for name, t in zip(schema.names, schema.types)}
-    cols = {}
-    keys_sorted = sorted(best)
-    for i, c in enumerate(key_cols):
-        cols[c] = pa.array([k[i] for k in keys_sorted], types[c])
-    for j, c in enumerate(value_cols):
-        cols[c] = pa.array([best[k][j] for k in keys_sorted], types[c])
-    boundary_tbl = rd.from_arrow(pa.table(cols))
-
-    def interior_mins(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.select(all_cols)
-        starts = _run_starts(batch)
-        inner = starts[1:-1]  # first and last run deferred
-        return batch.take(pa.array(inner, pa.int64())).select(all_cols)
-
-    inner = ds_sorted.map_batches(
-        interior_mins, batch_format="pyarrow", batch_size=None
-    )
-    return boundary_tbl.union(inner)
+    return reduce_sorted_runs(ds_sorted, key_cols, value_cols, firsts, best, firsts)
 
 
 def sorted_group_sum(rows_ds, key_cols: Sequence[str], sum_cols: Sequence[str]):
@@ -341,13 +282,12 @@ _AGG_REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
     """One row per distinct key with per-column reductions — the groupby
-    primitive on the sorted-adjacency shape (see :func:`sorted_group_min`):
+    primitive on the sorted-adjacency shape (``runs.reduce_sorted_runs``):
     a native sort + vectorized per-run ``np.{add,minimum,maximum}.reduceat``
-    replaces the ~25 µs/group machinery of a hash aggregate. Interior runs
-    are complete by construction; each block defers only its FIRST and LAST
-    run's partials to the driver, which combines partials per key (a run
-    spanning k blocks contributes k partials) — ≤2 rows per block, never
-    row-sized.
+    replaces the ~25 µs/group machinery of a hash aggregate. The driver
+    combines the ≤2 deferred run partials per block by key with the same
+    op (an Arrow ``group_by`` over block-count-sized rows). With no
+    ``specs`` it is the distinct reduce: one row per distinct key.
 
     ``specs`` is a sequence of ``(col, op, out_name)`` with op in
     ``{"sum", "min", "max"}``; the same input col may appear under several
@@ -355,129 +295,38 @@ def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
     costs first); ``min``/``max`` keep the column's native type (their
     partial merge is order-independent, so floats are exact too).
     """
-    import ray.data as rd
-
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    from vigil_ray.stages.blocks import coalesce_blocks
+    from vigil_ray.stages.runs import np_col, reduce_sorted_runs
 
     key_cols = list(key_cols)
     specs = [tuple(s) for s in specs]
     for _, op, _out in specs:
         if op not in _AGG_REDUCE:
             raise ValueError(f"sorted_group_agg: unknown op {op!r}")
-    from vigil_ray.stages.blocks import coalesce_blocks
-
     ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(key_cols))  # see sorted_group_min
 
-    def _out_type(batch: pa.Table, col: str, op: str):
-        return pa.int64() if op == "sum" else batch.column(col).type
-
-    def _run_aggs(batch: pa.Table):
-        starts = _run_starts_impl(batch, key_cols)
-        vals = []
-        for c, op, _out in specs:
-            arr = (
-                batch.column(c)
-                .combine_chunks()
-                .to_numpy(zero_copy_only=False)
-            )
+    def run_aggs(batch: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+        out = batch.select(key_cols).take(pa.array(starts[runs], pa.int64()))
+        for c, op, name in specs:
+            arr = np_col(batch, c)
+            typ = batch.column(c).type
             if op == "sum":
-                arr = arr.astype(np.int64)
-            vals.append(_AGG_REDUCE[op].reduceat(arr, starts))
-        return starts, vals
+                arr, typ = arr.astype(np.int64), pa.int64()
+            vals = _AGG_REDUCE[op].reduceat(arr, starts)[runs]
+            out = out.append_column(name, pa.array(vals, typ))
+        return out
 
-    def _rows(batch: pa.Table, starts, vals, idx) -> pa.Table:
-        # keys keep the input column types (inference from .as_py() would
-        # widen e.g. int32 keys to int64 and break the union's schema)
-        cols = {
-            c: pa.array(
-                [batch.column(c)[int(starts[i])].as_py() for i in idx],
-                batch.column(c).type,
-            )
-            for c in key_cols
-        }
-        for j, (c, op, out) in enumerate(specs):
-            cols[out] = pa.array(
-                [vals[j][i] for i in idx], _out_type(batch, c, op)
-            )
-        return pa.table(cols)
-
-    def _empty(batch: pa.Table) -> pa.Table:
-        cols = {c: pa.array([], batch.column(c).type) for c in key_cols}
-        for c, op, out in specs:
-            cols[out] = pa.array([], _out_type(batch, c, op))
-        return pa.table(cols)
-
-    def boundary_partials(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty(batch)
-        starts, vals = _run_aggs(batch)
-        idx = [0] if len(starts) == 1 else [0, len(starts) - 1]
-        return _rows(batch, starts, vals, idx)
-
-    deferred = ds_sorted.map_batches(
-        boundary_partials, batch_format="pyarrow", batch_size=None
-    ).take_all()
-
-    merged: dict = {}
-    for r in deferred:
-        k = tuple(r[c] for c in key_cols)
-        acc = merged.get(k)
-        if acc is None:
-            merged[k] = [r[out] for _, _, out in specs]
-        else:
-            for j, (_, op, out) in enumerate(specs):
-                if op == "sum":
-                    acc[j] += r[out]
-                elif op == "min":
-                    acc[j] = min(acc[j], r[out])
-                else:
-                    acc[j] = max(acc[j], r[out])
-
-    schema = ds_sorted.schema()
-    if schema is None or not merged:
-        # preserve the REAL column types on the empty path: downstream
-        # unions/sorts against string-keyed tables break on a fabricated
-        # int64 schema (sorted_group_min keeps the true schema the same way)
-        if schema is not None:
-            types = {name: t for name, t in zip(schema.names, schema.types)}
-            key_t = {c: types[c] for c in key_cols}
-            out_t = {
-                out: (pa.int64() if op == "sum" else types[c])
-                for c, op, out in specs
-            }
-        else:
-            key_t = {c: pa.int64() for c in key_cols}
-            out_t = {out: pa.int64() for _, _, out in specs}
-        return rd.from_arrow(
-            pa.table(
-                {c: pa.array([], t) for c, t in key_t.items()}
-                | {o: pa.array([], t) for o, t in out_t.items()}
-            )
+    def combine(deferred: pa.Table) -> pa.Table:
+        merged = deferred.group_by(key_cols, use_threads=False).aggregate(
+            [(name, op) for _, op, name in specs]
         )
-    types = {name: t for name, t in zip(schema.names, schema.types)}
-    keys_sorted = sorted(merged)
-    cols = {
-        c: pa.array([k[i] for k in keys_sorted], types[c])
-        for i, c in enumerate(key_cols)
-    }
-    for j, (c, op, out) in enumerate(specs):
-        cols[out] = pa.array(
-            [merged[k][j] for k in keys_sorted],
-            pa.int64() if op == "sum" else types[c],
-        )
-    boundary_tbl = rd.from_arrow(pa.table(cols))
+        return merged.select(
+            key_cols + [f"{name}_{op}" for _, op, name in specs]
+        ).rename_columns(key_cols + [name for _, _, name in specs])
 
-    def interior_aggs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty(batch)
-        starts, vals = _run_aggs(batch)
-        idx = list(range(1, len(starts) - 1))  # first and last run deferred
-        return _rows(batch, starts, vals, idx)
-
-    inner = ds_sorted.map_batches(
-        interior_aggs, batch_format="pyarrow", batch_size=None
+    return reduce_sorted_runs(
+        ds_sorted, key_cols, [c for c, _, _ in specs], run_aggs, combine, run_aggs
     )
-    return boundary_tbl.union(inner)
 
 
 # --------------------------------------------------------------------------
@@ -1357,8 +1206,9 @@ def _vbloom_hashes(col) -> "tuple":
 
 
 def vbloom_build(keys_ds, key_col: str, m_bits: int = 1 << 20) -> np.ndarray:
-    """Vectorized distributed Bloom build (same OR-reduce shape as
-    :func:`bloom_build`, but numpy per batch — no per-row Python)."""
+    """Distributed Bloom build: each batch of keys becomes a partial
+    ``m_bits/8``-byte bitmap (vectorized hashing, no per-row Python) and
+    the driver OR-reduces one bitmap per block, never the keys."""
 
     def partial(batch: pa.Table) -> pa.Table:
         bits = np.zeros(m_bits // 8, dtype=np.uint8)
@@ -1388,31 +1238,6 @@ def vbloom_mask(col, bits: np.ndarray, m_bits: int) -> np.ndarray:
         p = ((h1 + np.uint64(i) * h2) % np.uint64(m_bits)).astype(np.int64)
         keep &= (bits[p >> 3] & (1 << (p & 7)).astype(np.uint8)) != 0
     return keep
-
-
-def _bloom_positions(key: int, m_bits: int) -> List[int]:
-    h = hashlib.md5(str(key).encode()).digest()
-    return [
-        int.from_bytes(h[4 * i : 4 * i + 4], "big") % m_bits for i in range(_BLOOM_K)
-    ]
-
-
-def bloom_build(keys_ds, key_col: str, m_bits: int = 1 << 20) -> np.ndarray:
-    """Distributed Bloom build: each batch of blocklist keys becomes a
-    partial bitmap; partials are OR-reduced. The driver handles one
-    ``m_bits/8``-byte array per BLOCK, never the keys themselves."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        bits = np.zeros(m_bits // 8, dtype=np.uint8)
-        for v in batch.column(key_col).to_pylist():
-            for p in _bloom_positions(v, m_bits):
-                bits[p >> 3] |= 1 << (p & 7)
-        return pa.table({"bitmap": pa.array([bits.tobytes()], pa.binary())})
-
-    bitmap = np.zeros(m_bits // 8, dtype=np.uint8)
-    for row in keys_ds.map_batches(partial, batch_format="pyarrow").take_all():
-        bitmap |= np.frombuffer(row["bitmap"], dtype=np.uint8)
-    return bitmap
 
 
 # Bloom-positive sliver keys above this fall back to the left_anti Join
@@ -1899,12 +1724,12 @@ def chunk_dup_pairs(
     sort + run-adjacency + boundary-reconciliation pair generator the LSH
     dedups use (``dedup.sorted_bucket_pairs`` — no per-group aggregate
     machinery, truncation counted and warned), then exact distinct pairs
-    (``dedup._distinct_pairs``: vectorized local dedupe before one small
-    groupby). Nothing corpus-sized reaches the driver.
+    (:func:`sorted_group_agg` with no specs: a sort and one row per (a, b)
+    run, no hash aggregate). Nothing corpus-sized reaches the driver.
     """
     import hashlib
 
-    from vigil_ray.stages.dedup import _distinct_pairs, sorted_bucket_pairs
+    from vigil_ray.stages.dedup import sorted_bucket_pairs
 
     chunks = chunk_documents(
         ds, id_col=id_col, text_col=text_col, chunk_words=chunk_words, stride=stride
@@ -1937,7 +1762,7 @@ def chunk_dup_pairs(
     cand = sorted_bucket_pairs(
         rows, ["fp"], [id_col], all_member_pairs, max_bucket, "chunk_dup_pairs"
     )
-    return _distinct_pairs(cand)
+    return sorted_group_agg(cand, ["a", "b"], [])
 
 
 # --------------------------------------------------------------------------

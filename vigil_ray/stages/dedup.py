@@ -8,9 +8,11 @@ north-rule / training-data-pipeline capabilities, built Ray-Data-first:
   min-key (see ``vigil_ray.queries.q_dedup_exact``). Shuffle moves
   (hash, id) pairs only.
 - **MinHash-LSH**: per-batch vectorized numpy minhash signatures → explode to
-  (band_id, band_hash, id) rows → ``groupby`` band buckets → candidate pairs
-  → exact-Jaccard verification. The only shuffle carries band keys (16 bytes
-  a row), never documents. b=32 bands × r=4 rows (128 perms): pair with
+  (band_id, band_hash, id) rows → sorted band buckets
+  (:func:`sorted_bucket_pairs`) → distinct candidate pairs (a sorted
+  reduce, ``corpus.sorted_group_agg``) → exact-Jaccard verification. The
+  shuffles carry band keys (16 bytes a row) and id pairs, never
+  documents. b=32 bands × r=4 rows (128 perms): pair with
   Jaccard 0.89 is missed with p≈4e-14; spurious candidates are killed by the
   verify stage, so the output is deterministic.
 - **SimHash**: 64-bit signature; 4×16-bit chunk banding finds candidates
@@ -42,6 +44,8 @@ from typing import List, Tuple
 
 import numpy as np
 import pyarrow as pa
+
+from vigil_ray.stages.corpus import sorted_group_agg
 
 _MERSENNE = (1 << 61) - 1
 _N_PERM = 128
@@ -93,7 +97,7 @@ def minhash_signature(text: str, n: int = 3) -> np.ndarray:
 
 
 def band_rows(vid: int, sig: np.ndarray) -> List[Tuple[int, int, int]]:
-    """(band_id, band_hash, vid) rows for the LSH groupby."""
+    """(band_id, band_hash, vid) rows for the LSH band buckets."""
     rows = []
     for b in range(_BANDS):
         chunk = sig[b * _ROWS : (b + 1) * _ROWS]
@@ -183,117 +187,85 @@ def _warn_truncated(stage: str, n_buckets: int, n_dropped: int) -> None:
 
 def sorted_bucket_pairs(rows_ds, key_cols, member_cols, pair_fn, max_bucket, stage):
     """Candidate pairs from equal-key buckets via SORT + in-block adjacency +
-    driver-side boundary reconciliation — the scale-shape replacement for a
-    per-group collect aggregate: Ray's sort shuffle is vectorized native code
-    (measured 0.13 s for 215k band rows at sf0.1), while the groupby
-    aggregate pays ~25 µs of per-group machinery (measured 3.7–6.8 s over
-    156k buckets, Python accumulate or not).
+    driver-side boundary reconciliation (``runs.reduce_sorted_runs``) — the
+    scale-shape replacement for a per-group collect aggregate: Ray's sort
+    shuffle is vectorized native code (measured 0.13 s for 215k band rows
+    at sf0.1), while the groupby aggregate pays ~25 µs of per-group
+    machinery (measured 3.7–6.8 s over 156k buckets, Python accumulate or
+    not).
 
-    Protocol (two passes over the PINNED sorted blocks, like
-    ``corpus.prefix_scan``):
-
-    1. every block defers its FIRST and LAST key-run (the only runs that can
-       straddle a block boundary) to the driver — ≤2 runs × ≤``max_bucket``
-       members per block, block-count-sized, never row-sized;
-    2. the driver merges deferred runs by key (equal keys from adjacent
-       blocks are one bucket), truncates, and emits their pairs;
-    3. a second pass emits pairs for each block's INTERIOR runs (complete
-       buckets by construction), vectorized run detection per block.
+    Each block defers its first and last run as (key, members capped to
+    ``max_bucket``, pre-cap run size) — ≤2 runs × ≤``max_bucket`` members
+    per block, never row-sized; the driver merges them by key, truncates
+    and emits their pairs, and each block emits its interior buckets'
+    pairs. A plain ``sort().materialize()`` pins the blocks, never a
+    coalesce: per-block pair work is heavy (``blocks.coalesce_blocks``).
 
     ``pair_fn(members)`` maps one bucket's sorted member tuples to (a, b)
     pairs. Returns a Dataset of candidate (a, b) rows (duplicates across
     bands possible — callers dedupe).
     """
-    import numpy as np
-    import ray.data as rd
+    from vigil_ray.stages.runs import reduce_sorted_runs
 
-    ds_sorted = rows_ds.sort(list(key_cols)).materialize()
+    key_cols = list(key_cols)
+    ds_sorted = rows_ds.sort(key_cols).materialize()
 
-    from vigil_ray.stages.runs import run_bounds as _run_bounds_impl
-
-    def _run_bounds(batch) -> list:
-        return _run_bounds_impl(batch, key_cols)
-
-    def _members(batch, s: int, e: int) -> list:
+    def run_members(batch: pa.Table, s: int, e: int) -> list:
         cols = [batch.column(c).slice(s, e - s).to_pylist() for c in member_cols]
-        return [list(t) for t in zip(*cols)]
+        return sorted(zip(*cols))
 
-    def boundary_runs(batch: pa.Table) -> pa.Table:
-        empty = {c: pa.array([], batch.column(c).type) for c in key_cols}
-        empty["members"] = pa.array([], pa.list_(pa.list_(pa.int64())))
-        empty["run_size"] = pa.array([], pa.int64())
-        if batch.num_rows == 0:
-            return pa.table(empty)
-        runs = _run_bounds(batch)
-        picks = [runs[0]] if len(runs) == 1 else [runs[0], runs[-1]]
-        cols = {c: [] for c in key_cols}
-        members, sizes = [], []
-        for s, e in picks:
-            for c in key_cols:
-                cols[c].append(batch.column(c)[s].as_py())
-            # cap per block: global top-max_bucket of per-block top-max_bucket
-            # equals the global top-max_bucket. The PRE-cap size ships too so
-            # the driver's drop count stays true (a block-boundary run capped
-            # here must not be invisible to the truncation warning).
-            members.append(sorted(_members(batch, s, e))[:max_bucket])
-            sizes.append(e - s)
-        out = {c: pa.array(cols[c], batch.column(c).type) for c in key_cols}
-        out["members"] = pa.array(members, pa.list_(pa.list_(pa.int64())))
-        out["run_size"] = pa.array(sizes, pa.int64())
-        return pa.table(out)
+    def bucket_pairs(buckets) -> pa.Table:
+        """(a, b) rows of every (members, true size) bucket; the truncation
+        count is the true size minus the kept members."""
+        da, db = [], []
+        n_trunc = n_dropped = 0
+        for members, size in buckets:
+            kept, _ = truncate_bucket(members, max_bucket)
+            if size > len(kept):
+                n_trunc += 1
+                n_dropped += size - len(kept)
+            for a, b in pair_fn(kept):
+                da.append(a)
+                db.append(b)
+        if n_trunc:
+            _warn_truncated(stage, n_trunc, n_dropped)
+        return pa.table({"a": pa.array(da, pa.int64()), "b": pa.array(db, pa.int64())})
 
-    deferred = ds_sorted.map_batches(
-        boundary_runs, batch_format="pyarrow", batch_size=None
-    ).take_all()
+    def boundary_runs(batch: pa.Table, starts, runs) -> pa.Table:
+        ends = np.append(starts[1:], batch.num_rows)[runs]
+        firsts = starts[runs]
+        out = batch.select(key_cols).take(pa.array(firsts, pa.int64()))
+        # cap per block: global top-max_bucket of per-block top-max_bucket
+        # equals the global top-max_bucket. The PRE-cap size ships too so
+        # the driver's drop count stays true.
+        members = [
+            run_members(batch, s, e)[:max_bucket]
+            for s, e in zip(firsts.tolist(), ends.tolist())
+        ]
+        out = out.append_column(
+            "members", pa.array(members, pa.list_(pa.list_(pa.int64())))
+        )
+        return out.append_column("run_size", pa.array(ends - firsts, pa.int64()))
 
-    merged: dict = {}
-    totals: dict = {}
-    for r in deferred:
-        key = tuple(r[c] for c in key_cols)
-        merged.setdefault(key, []).extend(tuple(m) for m in r["members"])
-        totals[key] = totals.get(key, 0) + int(r["run_size"])
-    da, db = [], []
-    n_trunc = n_dropped = 0
-    for key, members in merged.items():
-        rows, _ = truncate_bucket(members, max_bucket)
-        dropped = totals[key] - len(rows)  # true drop incl. block pre-caps
-        if dropped:
-            n_trunc += 1
-            n_dropped += dropped
-        for a, b in pair_fn(rows):
-            da.append(a)
-            db.append(b)
-    if n_trunc:
-        _warn_truncated(stage, n_trunc, n_dropped)
-    boundary_pairs = rd.from_arrow(
-        pa.table({"a": pa.array(da, pa.int64()), "b": pa.array(db, pa.int64())})
-    )
+    def merge_runs(deferred: pa.Table) -> pa.Table:
+        buckets: dict = {}
+        for r in deferred.to_pylist():
+            acc = buckets.setdefault(tuple(r[c] for c in key_cols), [[], 0])
+            acc[0].extend(map(tuple, r["members"]))
+            acc[1] += r["run_size"]
+        return bucket_pairs(buckets.values())
 
-    def interior_pairs(batch: pa.Table) -> pa.Table:
-        pa_, pb_ = [], []
-        if batch.num_rows:
-            runs = _run_bounds(batch)
-            n_t = n_d = 0
-            for s, e in runs[1:-1]:  # first and last run were deferred
-                if e - s < 2:
-                    continue
-                rows, dropped = truncate_bucket(_members(batch, s, e), max_bucket)
-                if dropped:
-                    n_t += 1
-                    n_d += dropped
-                for a, b in pair_fn(rows):
-                    pa_.append(a)
-                    pb_.append(b)
-            if n_t:
-                _warn_truncated(stage, n_t, n_d)
-        return pa.table(
-            {"a": pa.array(pa_, pa.int64()), "b": pa.array(pb_, pa.int64())}
+    def interior_pairs(batch: pa.Table, starts, runs) -> pa.Table:
+        ends = np.append(starts[1:], batch.num_rows)
+        return bucket_pairs(
+            (run_members(batch, s, e), e - s)
+            for s, e in zip(starts[runs].tolist(), ends[runs].tolist())
+            if e - s > 1
         )
 
-    inner = ds_sorted.map_batches(
-        interior_pairs, batch_format="pyarrow", batch_size=None
+    return reduce_sorted_runs(
+        ds_sorted, key_cols, member_cols, boundary_runs, merge_runs, interior_pairs
     )
-    return boundary_pairs.union(inner)
 
 
 def minhash_lsh_pairs(
@@ -338,7 +310,8 @@ def minhash_lsh_pairs(
 
     # pairs via SORT + adjacency (sorted_bucket_pairs) — replaces the
     # collect-list groupby, whose ~25 µs/group machinery dominated at 156k
-    # buckets (6.8 s → sub-second)
+    # buckets (6.8 s → sub-second); the same pair from several bands
+    # collapses in a sorted distinct reduce, not a hash aggregate
 
     cand = sorted_bucket_pairs(
         bands,
@@ -348,7 +321,7 @@ def minhash_lsh_pairs(
         max_bucket,
         "minhash_lsh_pairs",
     )
-    cand = _distinct_pairs(cand)
+    cand = sorted_group_agg(cand, ["a", "b"], [])
 
     attached = _attach_pair_texts(cand, ds, id_col, text_col)
 
@@ -367,36 +340,6 @@ def minhash_lsh_pairs(
     return attached.map_batches(verify, batch_format="pyarrow")
 
 
-def _distinct_pairs(cand):
-    """Exact distinct (a, b) pairs: the same pair surfaces from several
-    bands, so blocks first dedupe locally (vectorized ``np.unique`` on the
-    packed 64-bit key) and only the shrunken rows reach the one small
-    groupby."""
-    import numpy as np
-
-    def prededupe(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        a = batch.column("a").combine_chunks().to_numpy(zero_copy_only=False)
-        b = batch.column("b").combine_chunks().to_numpy(zero_copy_only=False)
-        if len(a) and max(a.max(), b.max()) < (1 << 31) and min(a.min(), b.min()) >= 0:
-            key = (a.astype(np.int64) << 32) | b.astype(np.int64)
-        else:  # ids outside packable range: structured unique
-            key = None
-        if key is not None:
-            _, idx = np.unique(key, return_index=True)
-        else:
-            _, idx = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True)
-        return batch.take(pa.array(np.sort(idx)))
-
-    return (
-        cand.map_batches(prededupe, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-        .select_columns(["a", "b"])
-    )
-
-
 # Size gates for the broadcast text-attach fast path; above either, the
 # sort-merge attach carries the pairs instead. On a cluster, size the byte
 # gate to worker heap (the lookup table is ray.put once and read
@@ -407,6 +350,8 @@ _MAX_ATTACH_BROADCAST_IDS = int(
 _MAX_ATTACH_BROADCAST_BYTES = int(
     os.environ.get("GRAFT_ATTACH_BROADCAST_BYTES", 256 << 20)
 )
+# Bloom bitmap size (bits) of the sort-merge attach's corpus semi-filter.
+_ATTACH_BLOOM_BITS = 1 << 20
 
 
 def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
@@ -503,14 +448,7 @@ def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
     return cand.map_batches(attach, batch_format="pyarrow")
 
 
-def _attach_pair_texts(
-    cand,
-    ds,
-    id_col: str,
-    text_col: str,
-    num_partitions: int = 8,
-    m_bits: int = 1 << 20,
-):
+def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     """Attach both documents' text to candidate (a, b) pairs.
 
     Two-stage semi-join, neither corpus-scale shuffle nor driver collection:
@@ -527,10 +465,10 @@ def _attach_pair_texts(
        machinery. Bloom false positives drop inside the inner merge (no
        false negatives by construction).
 
-    Scale ledger: m_bits must track the candidate-id count (~10 bits/key
-    for ~1% FP). Past ~10⁹ candidates the bitmap outgrows broadcast — pass
-    ``m_bits=0`` to skip the filter and let the sort-merge join carry the
-    full corpus (the always-correct fallback).
+    Scale ledger: the bitmap (``_ATTACH_BLOOM_BITS``) must track the
+    candidate-id count (~10 bits/key for ~1% FP); its 2^20 bits serve
+    ~10⁵ candidate ids at that rate. More ids only raise the FP sliver
+    that the inner merge drops.
 
     FAST PATH (size-gated): when the distinct candidate ids fit under
     ``_MAX_ATTACH_BROADCAST_IDS``, the whole attach is one broadcast round
@@ -558,36 +496,28 @@ def _attach_pair_texts(
 
     cand = cand.materialize()  # consumed twice: bloom build + both joins
 
-    # m_bits=0 is the caller's "candidate set outgrows any broadcast"
-    # signal — honor it for the fast path too, straight to sort-merge
-    if m_bits:
-        broadcast_texts = _broadcast_attach_texts(
-            cand, corpus, id_col, text_col, explode_ids
+    broadcast_texts = _broadcast_attach_texts(
+        cand, corpus, id_col, text_col, explode_ids
+    )
+    if broadcast_texts is not None:
+        return broadcast_texts
+
+    import ray
+
+    m_bits = _ATTACH_BLOOM_BITS
+    bref = ray.put(
+        vbloom_build(
+            cand.map_batches(explode_ids, batch_format="pyarrow"), "id", m_bits
         )
-        if broadcast_texts is not None:
-            return broadcast_texts
+    )
 
-    if m_bits:
-        import ray
+    def bloom_keep(batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:
+            return batch
+        keep = vbloom_mask(batch.column(id_col), ray.get(bref), m_bits)
+        return batch.filter(pa.array(keep, pa.bool_()))
 
-        bref = ray.put(
-            vbloom_build(
-                cand.map_batches(explode_ids, batch_format="pyarrow"), "id", m_bits
-            )
-        )
-
-        def bloom_keep(batch: pa.Table) -> pa.Table:
-            if not batch.num_rows:
-                return batch
-            keep = vbloom_mask(batch.column(id_col), ray.get(bref), m_bits)
-            return batch.filter(pa.array(keep, pa.bool_()))
-
-        slim = corpus.map_batches(bloom_keep, batch_format="pyarrow").materialize()
-    else:
-        # m_bits=0: skip the bloom prefilter and let the sort-merge joins
-        # carry the full corpus — the always-correct fallback when the
-        # candidate set outgrows a broadcastable bitmap
-        slim = corpus
+    slim = corpus.map_batches(bloom_keep, batch_format="pyarrow").materialize()
 
     def _as_lookup(key: str, val: str):
         def rename(batch: pa.Table) -> pa.Table:
@@ -660,7 +590,7 @@ def simhash_pairs(
         max_bucket,
         "simhash_pairs",
     )
-    return _distinct_pairs(cand)
+    return sorted_group_agg(cand, ["a", "b"], [])
 
 
 def ngram_jaccard_pairs(
@@ -990,8 +920,9 @@ def prefix_filter_pairs(
     `sorted_lookup_join` over the same g-keyed table) → per-doc rank in
     (df, shingle) order via `corpus.grouped_prefix_scan` → prefix filter
     (integer-exact α via fractions) → candidate pairs via
-    `sorted_bucket_pairs` → exact Jaccard verify on texts re-attached by
-    the Bloom-semi-filtered lookup. The full shingle table is sorted
+    `sorted_bucket_pairs` → distinct pairs via `corpus.sorted_group_agg`
+    with no specs → exact Jaccard verify on texts re-attached by the
+    Bloom-semi-filtered lookup. The full shingle table is sorted
     exactly twice (attach, rank); every later sort sees only prefix rows
     or candidate pairs.
 
@@ -1115,7 +1046,7 @@ def prefix_filter_pairs(
         pref, ["g"], ["vid", "l", "pos"], ppjoin_pairs, max_bucket,
         "prefix_filter_pairs",
     )
-    cand = _distinct_pairs(cand)
+    cand = sorted_group_agg(cand, ["a", "b"], [])
     attached = _attach_pair_texts(cand, ds, id_col, text_col)
 
     def verify(batch: pa.Table) -> pa.Table:
