@@ -23,7 +23,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SF_SMALL = "/root/testdata/sf0.001"
 TIMEOUT_S = 120
-N_FILES, ROWS_PER_FILE, BATCH_ROWS = 8, 250, 1000  # 2000 rows → 2 batches
+N_FILES, ROWS_PER_FILE = 8, 250
+# about 875 rows of these ~840-byte pages: 2000 rows in 250-row blocks → 2
+# batches of 4 blocks each
+BATCH_BYTES = 720 << 10
 
 _SCRIPT = r"""
 import json, logging, os, sys
@@ -32,7 +35,7 @@ import pyarrow.parquet as pq
 import ray
 
 sf, work = sys.argv[1], sys.argv[2]
-n_files, rows_per_file, batch_rows = map(int, sys.argv[3:6])
+n_files, rows_per_file, batch_bytes = map(int, sys.argv[3:6])
 ray.init(
     address="local",
     num_cpus=2,
@@ -56,7 +59,7 @@ for i in range(n_files):
     pq.write_table(pages, f"{work}/in/part_{i}.parquet")
 before = DataContext.get_current().op_resource_reservation_enabled
 ds = quality_filter(
-    rd.read_parquet(f"{work}/in"), PipelineConfig(quality_batch_size=batch_rows)
+    rd.read_parquet(f"{work}/in"), PipelineConfig(batch_bytes=batch_bytes)
 )
 ds.write_parquet(f"{work}/out")
 print(json.dumps({
@@ -98,7 +101,7 @@ def test_per_document_tasks_overlap_at_num_cpus_2(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-c", _SCRIPT, SF_SMALL, str(tmp_path),
-            str(N_FILES), str(ROWS_PER_FILE), str(BATCH_ROWS),
+            str(N_FILES), str(ROWS_PER_FILE), str(BATCH_BYTES),
         ],
         cwd=str(REPO_ROOT),
         stdout=subprocess.PIPE,

@@ -158,6 +158,100 @@ class TestExport:
         back = pq.read_table(out_dir)
         assert back.num_rows == 500
 
+    @staticmethod
+    def _pages_with_line_breaks() -> pa.Table:
+        """The sf pages six times over, one word per text line, so a CSV of
+        them spans several read blocks with line breaks inside quoted values
+        (extracted HTML text joins its lines with newlines)."""
+        import pyarrow.compute as pc
+
+        from vigil_ray.sources.pages import synthesize_pages
+
+        pages = pa.concat_tables([synthesize_pages(SF)] * 6)
+        idx = pages.schema.get_field_index("text")
+        text = pc.replace_substring(pages.column(idx), " ", "\n")
+        return pages.set_column(idx, "text", text)
+
+    @pytest.mark.parametrize("fmt", ["parquet", "csv"])
+    def test_write_results_runs_each_row_once(self, tmp_path, fmt):
+        """The envelope is read off the written output: every input row goes
+        through the upstream pipeline once, and the counts match an
+        in-process run of the same detection, text line breaks included."""
+        from collections import Counter
+
+        import ray.data as rd
+
+        from vigil_ray.config import PipelineConfig
+        from vigil_ray.pipelines.export import write_results
+        from vigil_ray.stages.detect import PiiDetectScrub, detect_stage
+
+        pages = self._pages_with_line_breaks()
+        calls = tmp_path / "calls"
+
+        def counted(batch: pa.Table) -> pa.Table:
+            with open(calls, "a") as f:
+                f.write(f"{batch.num_rows}\n")
+            return batch
+
+        upstream = rd.from_arrow(pages).map_batches(counted, batch_format="pyarrow")
+        ds = detect_stage(upstream, PipelineConfig())
+        envelope = write_results(ds, str(tmp_path / "results"), fmt=fmt)
+        assert sum(map(int, calls.read_text().split())) == pages.num_rows
+
+        ref = PiiDetectScrub(PipelineConfig())(pages)
+        with_pii = sum(ref.column("contem_pii").to_pylist())
+        per_type = Counter(t for ts in ref.column("tipos_detectados").to_pylist() for t in ts)
+        assert envelope["metadata"]["total_registros"] == pages.num_rows
+        assert envelope["metadata"]["total_com_pii"] == with_pii
+        assert envelope["estatisticas"]["por_tipo"] == dict(per_type)
+        assert envelope["estatisticas"]["percentual_com_pii"] == round(
+            100.0 * with_pii / pages.num_rows, 2
+        )
+
+    @pytest.mark.parametrize("fmt", ["parquet", "csv"])
+    def test_write_results_empty_input(self, tmp_path, fmt):
+        import ray.data as rd
+
+        from vigil_ray.config import PipelineConfig
+        from vigil_ray.pipelines.export import write_results
+        from vigil_ray.sources.pages import synthesize_pages
+        from vigil_ray.stages.detect import detect_stage
+
+        empty = rd.from_arrow(synthesize_pages(SF).slice(0, 0))
+        ds = detect_stage(empty, PipelineConfig())
+        envelope = write_results(ds, str(tmp_path / "results"), fmt=fmt)
+        assert envelope["metadata"]["total_registros"] == 0
+        assert envelope["metadata"]["total_com_pii"] == 0
+        assert envelope["estatisticas"] == {"por_tipo": {}, "percentual_com_pii": 0.0}
+
+    @pytest.mark.parametrize("fmt", ["parquet", "csv"])
+    def test_second_write_counts_only_its_own_files(self, tmp_path, fmt):
+        """Ray's sinks append to an existing directory: the envelope and the
+        read-back of a second write into it see that write's rows only."""
+        import ray.data as rd
+
+        from vigil_ray.config import PipelineConfig
+        from vigil_ray.pipelines.export import (
+            read_written,
+            summary_envelope,
+            write_dataset,
+            write_results,
+        )
+        from vigil_ray.sources.pages import synthesize_pages
+        from vigil_ray.stages.detect import detect_stage
+
+        pages = synthesize_pages(SF)
+        ds = detect_stage(rd.from_arrow(pages), PipelineConfig()).materialize()
+        out_dir = str(tmp_path / "results")
+        first = write_results(ds, out_dir, fmt=fmt)
+        before = set(os.listdir(out_dir))
+        second = write_dataset(ds, out_dir, fmt=fmt)
+        assert before and second.paths
+        assert not before & {os.path.basename(p) for p in second.paths}
+        assert summary_envelope(second) == first
+        assert first["metadata"]["total_registros"] == pages.num_rows
+        assert read_written(second, ["contem_pii"]).count() == pages.num_rows
+
     def test_review_csv_roundtrip(self, tmp_path):
         import pandas as pd
         import ray.data as rd
@@ -215,6 +309,42 @@ class TestCli:
         env = json.load(open(summary))
         assert env["metadata"]["total_registros"] == 200
         assert (tmp_path / "out_review").exists()
+
+    def test_rerun_into_same_output_reports_its_own_rows(self, tmp_path):
+        """A second run with the same ``--output`` appends files; its summary
+        and its review cover the second run's rows only."""
+        import subprocess
+        import sys
+
+        import pandas as pd
+
+        from vigil_ray.sources.pages import synthesize_pages
+
+        inp = str(tmp_path / "pages.parquet")
+        pq.write_table(synthesize_pages(SF).slice(0, 200), inp, row_group_size=1024)
+        out = str(tmp_path / "out")
+        envelopes, reviews = [], []
+        for run in ("a", "b"):
+            summary = str(tmp_path / f"summary_{run}.json")
+            review_dir = tmp_path / f"review_{run}"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "vigil_ray.run",
+                    "--input", inp, "--output", out, "--summary", summary,
+                    "--review-output", str(review_dir), "--num-cpus", "2",
+                ],
+                capture_output=True, text=True, timeout=300,
+                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            envelopes.append(json.load(open(summary)))
+            reviews.append(
+                sum(len(pd.read_csv(f)) for f in sorted(review_dir.iterdir()))
+            )
+        assert pq.read_table(out).num_rows == 400
+        assert envelopes[1] == envelopes[0]
+        assert envelopes[1]["metadata"]["total_registros"] == 200
+        assert reviews[1] == reviews[0] > 0
 
 
 class TestAnalyzeErrorsCli:

@@ -23,6 +23,10 @@ ALLOWED_NER_MODELS = frozenset({DEFAULT_NER_MODEL})
 # NER entity groups accepted as person names; reference src/constants.py:30.
 NER_PERSON_LABELS = frozenset({"PER", "PESSOA", "B-PER", "I-PER", "PERSON"})
 
+# In-memory width assumed for one input row when a Dataset's plan cannot say
+# how big its rows are (stages.document.batch_rows); not a knob.
+NOMINAL_ROW_BYTES = 1024
+
 
 @dataclass
 class ReviewConfig:
@@ -93,9 +97,12 @@ class PipelineConfig:
     toxicity: ToxicityConfig = field(default_factory=ToxicityConfig)
 
     # Ray execution knobs (sized for one 32-cpu node; scale linearly per node).
-    # quality_batch_size: rows per batch of every per-document map (the
-    # flagship's fused map, detect, review)
-    quality_batch_size: int = 4096
+    # batch_bytes: in-memory input bytes per batch of every per-document map
+    # (the flagship's fused map, detect, review). Kernel cost grows with text
+    # length, so stages.document.batch_rows turns it into rows from the
+    # input's plan metadata: long pages get fewer rows per batch, and so
+    # more tasks, than short ones.
+    batch_bytes: int = 4 << 20
     ner_batch_size: int = 64
     ner_concurrency: int = 4
     # per-actor resources for the NER pool: set ner_num_gpus > 0 on GPU
@@ -105,7 +112,15 @@ class PipelineConfig:
     ner_num_gpus: float = 0.0
 
     @property
+    def quality_batch_size(self) -> int:
+        """Read-only: ``batch_bytes`` in rows of :data:`NOMINAL_ROW_BYTES`
+        (4096 at the default). No map is sized by it; its only reader is the
+        benchmark's in-process ledger (``perfbench/ledger.py``), which slices
+        its stage samples by it."""
+        return self.batch_bytes // NOMINAL_ROW_BYTES
+
+    @property
     def detect_batch_size(self) -> int:
-        """Read-only alias of :attr:`quality_batch_size`, the one row-batch
-        knob of the per-document maps."""
+        """Read-only alias of :attr:`quality_batch_size`, kept for the same
+        reader."""
         return self.quality_batch_size

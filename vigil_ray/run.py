@@ -54,7 +54,12 @@ def main(argv=None) -> int:
 
     try:
         from vigil_ray.config import PipelineConfig
-        from vigil_ray.pipelines.export import write_results, write_review
+        from vigil_ray.pipelines.export import (
+            read_written,
+            summary_envelope,
+            write_dataset,
+            write_review,
+        )
         from vigil_ray.pipelines.flagship import quality_filter
         from vigil_ray.sources.readers import read_table
         from vigil_ray.sources.textfiles import read_csv_tolerant, read_json_records
@@ -84,12 +89,9 @@ def main(argv=None) -> int:
             emit_details=not args.no_details,
         )
         result = quality_filter(ds, cfg)
-        envelope = write_results(
-            result,
-            args.output,
-            fmt=args.output_format,
-            input_path=args.input,
-            summary_path=args.summary,
+        written = write_dataset(result, args.output, fmt=args.output_format)
+        envelope = summary_envelope(
+            written, input_path=args.input, summary_path=args.summary
         )
         print(
             f"processed {envelope['metadata']['total_registros']} docs, "
@@ -101,7 +103,17 @@ def main(argv=None) -> int:
             review_dir = args.review_output or os.path.join(
                 args.output.rstrip("/") + "_review"
             )
-            review = review_stage(result, cfg, sort=True)
+            # parquet results keep the detail columns: read this run's files
+            # back rather than run the pipeline again (CSV results drop them)
+            source = (
+                read_written(
+                    written,
+                    [cfg.key_column, cfg.text_column, "detalhes", "contem_pii"],
+                )
+                if args.output_format == "parquet" and written.paths
+                else result
+            )
+            review = review_stage(source, cfg, sort=True)
             write_review(review, review_dir, fmt="csv")
             print(f"review export: {review_dir}")
         return 0

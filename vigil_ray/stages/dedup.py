@@ -354,7 +354,7 @@ _MAX_ATTACH_BROADCAST_BYTES = int(
 _ATTACH_BLOOM_BITS = 1 << 20
 
 
-def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
+def _broadcast_attach_texts(cand, ds, id_col, text_col, explode_ids):
     """Size-gated broadcast-exact attach (see ``_attach_pair_texts``):
     returns the attached Dataset, or ``None`` when either gate trips and
     the caller should fall back to the bloom + sort-merge path. Both gates
@@ -363,7 +363,8 @@ def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
     more than one gate's worth of either. The broadcast payload is an
     Arrow (id, text) table (zero-copy ``ray.get`` from plasma, unlike a
     pickled dict), and the per-batch attach is vectorized ``index_in`` +
-    ``take``."""
+    ``take``. The text column's Arrow type comes from ``ds``'s own schema,
+    which a read knows without executing (the projection's would run it)."""
     import ray
 
     import pyarrow.compute as pc
@@ -380,12 +381,14 @@ def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
         running += b.num_rows
         if running > _MAX_ATTACH_BROADCAST_IDS:
             return None
+    corpus = ds.select_columns([id_col, text_col])
+
     # text_a/text_b carry the corpus text column's exact Arrow type (e.g.
     # large_string) so the 0-row/empty-slice branches match the sort-merge
     # fallback's schema
-    _sch = corpus.schema()
-    text_typ = _sch.types[_sch.names.index(text_col)]
     if not id_chunks:
+        sch = ds.schema()
+        text_typ = sch.types[sch.names.index(text_col)]
         return cand.map_batches(  # no candidates: attach empty text columns
             lambda b: b.append_column(
                 "text_a", pa.nulls(b.num_rows, text_typ)
@@ -426,6 +429,8 @@ def _broadcast_attach_texts(cand, corpus, id_col, text_col, explode_ids):
     if slices:
         lookup = pa.concat_tables(slices).combine_chunks()
     else:
+        sch = ds.schema()
+        text_typ = sch.types[sch.names.index(text_col)]
         lookup = pa.table(
             {"id": cand_ids.slice(0, 0), "text": pa.array([], text_typ)}
         )
@@ -497,7 +502,7 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     cand = cand.materialize()  # consumed twice: bloom build + both joins
 
     broadcast_texts = _broadcast_attach_texts(
-        cand, corpus, id_col, text_col, explode_ids
+        cand, ds, id_col, text_col, explode_ids
     )
     if broadcast_texts is not None:
         return broadcast_texts

@@ -7,11 +7,13 @@ kernel mapped over every page of the batch:
   of ``html`` and appends ``extract_ok``, whether it reproduced the shipped
   ``text`` byte for byte (the BASELINE per-url invariant); ``html`` is not
   carried past this point, so the big payload column never reaches the
-  output;
+  output. A page whose extraction raises gets the empty body and
+  ``extract_ok`` false;
 - ``quality``: language ID, char-LM perplexity (the per-worker
   ``kernel.perplexity.default_model()``, whose capped memos stay warm across
   tasks), the Gopher/C4 features and their rule gate, ``keep`` and
-  ``drop_reasons``;
+  ``drop_reasons``. A page on which any of these kernels raises is dropped
+  with the reason ``quality_error`` and nulls in every other quality column;
 - ``detect``: PII detection and scrub in one ``analyze_document`` call, with
   the reference's per-row error isolation (a poison row degrades to the empty
   result and an empty scrub; reference src/detector.py:378-395);
@@ -27,6 +29,13 @@ on one page before moving to the next was measured 15% slower on short pages
 (1.49 → 1.73 s per 4096 pages, in process), because each kernel's memos and
 compiled patterns fall out of the CPU caches between its calls.
 
+A poison page never fails its task: each part isolates every page's
+kernels, so one bad page costs its own columns, not the batch.
+
+Batches are sized in input bytes, not rows (:func:`batch_rows`): kernel cost
+grows with text length, so a row count that suits short pages puts a whole
+long-page input in one task and leaves the other CPUs idle.
+
 The flagship runs every part (``pipelines.flagship.quality_filter``); the
 stage entry points (``stages.extract``, ``stages.quality``,
 ``stages.detect``) and the ``pages_toxicity`` query run a subset.
@@ -38,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 
-from vigil_ray.config import PipelineConfig
+from vigil_ray.config import NOMINAL_ROW_BYTES, PipelineConfig
 from vigil_ray.kernel.detector import analyze_document
 from vigil_ray.kernel.html import extract_text
 from vigil_ray.kernel.langid import classify
@@ -47,6 +56,7 @@ from vigil_ray.kernel.quality import quality_features, quality_rules
 from vigil_ray.kernel.toxicity import score_toxicity, scrub_toxic
 
 PARTS = ("extract", "quality", "detect", "toxicity")
+QUALITY_ERROR = "quality_error"  # drop reason of a page whose quality kernels raised
 
 DETAIL_TYPE = pa.list_(
     pa.struct([("tipo", pa.string()), ("valor", pa.string()), ("score", pa.float64()), ("metodo", pa.string())])
@@ -129,9 +139,17 @@ class DocumentOp:
         texts = batch.column(cfg.text_column).to_pylist()
         cols: Dict[str, list] = {}  # produced columns, in output order
         if self.extract:
-            bodies = [extract_text(h) for h in _drain(batch.column("html").to_pylist())]
-            cols[cfg.text_column] = bodies
-            cols["extract_ok"] = [b == t for b, t in zip(bodies, texts)]
+            bodies, ok = [], []
+            for html, text in zip(_drain(batch.column("html").to_pylist()), texts):
+                try:
+                    body = extract_text(html)
+                except Exception:  # noqa: BLE001 — poison page → empty body
+                    bodies.append("")
+                    ok.append(False)
+                else:
+                    bodies.append(body)
+                    ok.append(body == text)
+            cols[cfg.text_column], cols["extract_ok"] = bodies, ok
             texts = bodies
         pages = [t or "" for t in texts]
         if self.quality:
@@ -152,19 +170,34 @@ class DocumentOp:
         return pa.table(out, metadata=batch.schema.metadata)
 
     def _quality(self, pages: List[str], cols: Dict[str, list]) -> None:
+        """Quality columns into ``cols``; a page whose kernels raise keeps
+        nulls in them and is dropped for :data:`QUALITY_ERROR`."""
         score = default_model().score
-        ppl = [score(p) for p in pages]
         n = len(pages)
-        lang_pred, lang_score = [""] * n, [0.0] * n
+        ppl: List[Optional[float]] = [None] * n
+        for i, page in enumerate(pages):
+            try:
+                ppl[i] = score(page)
+            except Exception:  # noqa: BLE001 — poison page → quality_error
+                pass
+        lang_pred, lang_score = [None] * n, [None] * n
         feature_cols = {name: [None] * n for name in _FEATURES}
         keep, reasons = [False] * n, [None] * n
         qcfg = self.cfg.quality
         for i, page in enumerate(pages):
-            feats = quality_features(page)  # one dict alive at a time
-            lang_pred[i], lang_score[i] = classify(page)
+            if ppl[i] is not None:
+                try:
+                    feats = quality_features(page)  # one dict alive at a time
+                    pred, lscore = classify(page)
+                    keep[i], reasons[i] = quality_rules(feats, lscore, ppl[i], qcfg)
+                except Exception:  # noqa: BLE001 — poison page → quality_error
+                    ppl[i] = None
+            if ppl[i] is None:  # a kernel raised on this page; keep stays False
+                reasons[i] = [QUALITY_ERROR]
+                continue
+            lang_pred[i], lang_score[i] = pred, lscore
             for name, col in feature_cols.items():
                 col[i] = feats[name]
-            keep[i], reasons[i] = quality_rules(feats, lang_score[i], ppl[i], qcfg)
         cols.update(lang_pred=lang_pred, lang_score=lang_score, ppl=ppl, **feature_cols)
         cols.update(keep=keep, drop_reasons=reasons)
 
@@ -212,10 +245,30 @@ class DocumentOp:
         cols["n_tox"], cols["tox_ratio"], cols["is_toxic"] = n_tox, ratio, toxic
 
 
+def batch_rows(ds, batch_bytes: int) -> int:
+    """Rows per batch that hold about ``batch_bytes`` of ``ds``'s in-memory
+    input: ``batch_bytes * num_rows // size_bytes``, at least 1.
+
+    Both numbers come from the logical plan's metadata, which a parquet read
+    or an in-memory source (``from_arrow``, a materialized Dataset) knows
+    without executing anything. ``ds.count()`` and ``ds.size_bytes()`` are
+    not used: they execute the whole lineage when that metadata is missing.
+    When it is missing (a map upstream), every row counts as
+    :data:`~vigil_ray.config.NOMINAL_ROW_BYTES` wide."""
+    meta = ds._logical_plan.dag.infer_metadata()
+    if meta.num_rows and meta.size_bytes:
+        return max(1, batch_bytes * meta.num_rows // meta.size_bytes)
+    return max(1, batch_bytes // NOMINAL_ROW_BYTES)
+
+
 def document_stage(ds, cfg: Optional[PipelineConfig] = None, parts: Sequence[str] = PARTS):
-    """``ds.map_batches`` of :class:`DocumentOp` in task mode, in row batches
-    of ``cfg.quality_batch_size``."""
+    """``ds.map_batches`` of :class:`DocumentOp` in task mode, in batches of
+    about ``cfg.batch_bytes`` of input (:func:`batch_rows`). On long pages
+    that means few rows per batch and several tasks where a fixed row count
+    would merge every read block into one."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
-        DocumentOp(cfg, parts), batch_format="pyarrow", batch_size=cfg.quality_batch_size
+        DocumentOp(cfg, parts),
+        batch_format="pyarrow",
+        batch_size=batch_rows(ds, cfg.batch_bytes),
     )

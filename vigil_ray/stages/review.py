@@ -16,6 +16,7 @@ import pyarrow as pa
 
 from vigil_ray.config import PipelineConfig
 from vigil_ray.kernel.review import PRIORITY_RANK, review_document
+from vigil_ray.stages.document import batch_rows
 
 REVIEW_SCHEMA = pa.schema(
     [
@@ -67,7 +68,7 @@ def review_stage(ds, cfg: Optional[PipelineConfig] = None, sort: bool = True):
     out = ds.map_batches(
         ReviewExplode(cfg),
         batch_format="pyarrow",
-        batch_size=cfg.quality_batch_size,
+        batch_size=batch_rows(ds, cfg.batch_bytes),
     )
     if sort:
         out = out.sort("prioridade_rank")
