@@ -91,7 +91,7 @@ def run_bench() -> dict:
 
     from vigil_ray.config import PipelineConfig
     from vigil_ray.pipelines.flagship import quality_filter
-    from vigil_ray.queries import queries as query_registry
+    from vigil_ray.queries import bench_queries
 
     pages_path = _prepare_pages()
     cfg = PipelineConfig()
@@ -141,9 +141,10 @@ def run_bench() -> dict:
     timings["quality_filter_full"] = round(headline, 3)
 
     # --- secondary pipelines over the driver's sf tables -------------------
-    # GRAFT_SECONDARIES=0 skips them (scaling legs: only the headline enters
-    # the efficiency ratio, and a leg that also runs 21 secondaries perturbs
-    # its sibling leg's quiet window for no signal)
+    # the queries registered with bench=True in vigil_ray/queries.py, in
+    # registry order. GRAFT_SECONDARIES=0 skips them (scaling legs: only the
+    # headline enters the efficiency ratio, and a leg that also runs the
+    # secondaries perturbs its sibling leg's quiet window for no signal)
     if os.environ.get("GRAFT_SECONDARIES", "1") == "0":
         ray.shutdown()
         return {
@@ -157,73 +158,9 @@ def run_bench() -> dict:
             "docs": n_docs,
             "docs_per_sec": round(n_docs / headline, 1),
         }
-    secondary = [
-        "dedup_exact",
-        "dedup_minhash_pairs",
-        "dedup_simhash_pairs",
-        "events_hourly",
-        "events_sessions",
-        "events_cumulative",
-        "ann_cosine_top10",
-        "pages_type_counts",
-        "pages_toxicity",
-        "embedding_centroids",
-        "customer_order_counts",
-        "multimodal_frames",
-        "events_kmv_users",
-        "doc_top_tfidf",
-        "events_asof_join",
-        "doc_segment_dedup",
-        "docs_shuffle_rank",
-        "events_nonblocked_counts",
-        "corpus_top_terms",
-        "docs_snapshot_merge",
-        "docs_corpus_lm_ppl",
-        "events_user_gaps",
-        "events_last_purchase_value",
-        "events_validity_intervals",
-        "events_cohort_retention",
-        "user_order_reconcile",
-        "events_value_percent_rank",
-        "events_hourly_distinct",
-        "embeddings_kmeans_assign",
-        "embeddings_semdedup",
-        "docs_dsir_weights",
-        "docs_winnow_fps",
-        "docs_winnow_match_pairs",
-        "docs_delta_ingest",
-        "docs_ols_fit",
-        "docs_url_dedup",
-        "pages_template_tails",
-        "pages_boilerplate_scrub",
-        "events_decayed_user_score",
-        "corpus_bpe_pair",
-        "dedup_edit_distance",
-        "corpus_bpe_train",
-        "frontier_prep",
-        "events_rolling_median",
-        "split_leakage",
-        "docs_zorder",
-        "dedup_prefix_filter_pairs",
-        "dedup_ngram_pairs",
-        "dedup_components",
-        "dedup_canonical",
-        "dedup_cluster_sizes",
-        # the nine round-5-rotated queries (no recorded cost class before r5)
-        "events_moving_sum",
-        "events_value_zscore",
-        "events_late_stats",
-        "events_type_kmv",
-        "events_kmv_setops",
-        "docs_length_decile",
-        "docs_rollup_stats",
-        "docs_sample_per_lang",
-        "docs_hash_split",
-    ]
-    registry = query_registry()
-    for name in secondary:
+    for name, fn in bench_queries().items():
         t0 = time.perf_counter()
-        res = registry[name](SF_DIR)
+        res = fn(SF_DIR)
         if hasattr(res, "materialize"):
             res.materialize()
         timings[name] = round(time.perf_counter() - t0, 3)

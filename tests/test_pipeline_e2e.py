@@ -150,3 +150,31 @@ def test_block_layout_invariance(ray_session, pages_table, ray_output):
     pd.testing.assert_frame_equal(
         out[ray_output.columns], ray_output, check_dtype=False
     )
+
+
+def test_plan_and_write_run_each_input_row_once(ray_session, pages_table, tmp_path):
+    """Building the flagship plan over a lazy input executes nothing: an
+    upstream counting map sees every row exactly once across the plan and
+    the write, and the output still carries the extraction columns."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from vigil_ray.pipelines.flagship import quality_filter
+
+    calls = tmp_path / "calls"
+
+    def counted(batch: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return batch
+
+    upstream = rd.from_arrow(pages_table).map_batches(counted, batch_format="pyarrow")
+    out = quality_filter(upstream, PipelineConfig())
+    assert not calls.exists(), "building the plan executed the upstream"
+    out.write_parquet(str(tmp_path / "out"))
+    assert sum(map(int, calls.read_text().split())) == pages_table.num_rows
+    written = pq.read_table(str(tmp_path / "out"))
+    assert written.num_rows == pages_table.num_rows
+    assert "extract_ok" in written.column_names
+    assert "html" not in written.column_names

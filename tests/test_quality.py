@@ -7,11 +7,8 @@ from vigil_ray.kernel.langid import classify
 from vigil_ray.kernel.perplexity import CharLM, default_model
 from vigil_ray.kernel.quality import quality_features, quality_rules
 from vigil_ray.kernel.textstats import (
-    char_shingles,
-    count_bpe_pieces,
     count_ws_tokens,
     md5_hex,
-    rolling_hash,
     word_ngrams,
 )
 
@@ -172,10 +169,6 @@ class TestTextStats:
         assert count_ws_tokens("") == 0
         assert count_ws_tokens("   ") == 0
 
-    def test_bpe_pieces_ge_words(self):
-        text = "the quick brown fox's 123 jump-start"
-        assert count_bpe_pieces(text) >= count_ws_tokens(text)
-
     def test_md5_matches_duckdb(self):
         import duckdb
 
@@ -184,14 +177,8 @@ class TestTextStats:
             duckdb.sql(f"SELECT md5('{text}')").fetchone()[0] == md5_hex(text)
         )
 
-    def test_rolling_hash_deterministic(self):
-        assert rolling_hash("abc") == rolling_hash("abc")
-        assert rolling_hash("abc") != rolling_hash("abd")
-
-    def test_shingles_and_ngrams(self):
-        assert char_shingles("abcdef", 5) == ["abcde", "bcdef"]
+    def test_word_ngrams(self):
         assert word_ngrams("a b c d", 3) == ["a b c", "b c d"]
-        assert char_shingles("", 5) == []
 
 
 class TestClassifyMaskDifferential:

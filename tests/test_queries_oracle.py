@@ -55,8 +55,6 @@ def test_all_queries_match_oracles():
     con = _duck(SF)
     failures = []
     for name, fn in qs.items():
-        if name not in oracles:
-            continue
         ours = _canon(_to_pandas(fn(SF)))
         theirs = _canon(con.execute(oracles[name]).df())
         if len(ours) != len(theirs):
@@ -76,12 +74,58 @@ def test_all_queries_match_oracles():
     assert not failures, "\n".join(failures)
 
 
-def test_every_query_has_oracle_or_is_flagged():
-    from vigil_ray.queries import oracle_sql, queries
+# sha256 pins of the registry, so a reorder, an edited oracle string or a
+# changed bench tag cannot slip in unnoticed. A deliberate change updates the
+# pin in the same commit.
+_PIN_ORDER = "f1d5ba1e577dbcbd8719100b6e68a2fabd7ddff6c4381d45abefa66188c970fc"
+_PIN_ORACLES = "9a757f11510875b95d22f0966b109862a62abafadf6f257c39802b9357f09c4b"
+_PIN_BENCH = "b6f7603ec170ebdb7272811590c25a3d33f0f8120668fa80cc4693668545bae4"
 
-    missing = set(queries()) - set(oracle_sql())
-    # every query now has an oracle (the approximate IVF ops assert their
-    # recall bound in-query as a 1-row table); keep this set explicit so
-    # additions are deliberate
-    allowed_oracle_free: set = set()
-    assert missing <= allowed_oracle_free, f"queries without oracle SQL: {missing}"
+
+def test_registry_matches_frozen_digests():
+    import hashlib
+    import json
+
+    from vigil_ray.queries import bench_queries, oracle_sql, queries
+
+    def digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    qs, oracles = queries(), oracle_sql()
+    hint = "; a deliberate change updates the pin in tests/test_queries_oracle.py"
+    assert digest(list(qs)) == _PIN_ORDER, "query names or order changed" + hint
+    assert (
+        digest([[n, oracles[n]] for n in qs]) == _PIN_ORACLES
+    ), "oracle SQL changed" + hint
+    assert digest(sorted(bench_queries())) == _PIN_BENCH, (
+        "bench.py secondaries changed" + hint
+    )
+
+
+def test_query_decorator_rejects_bad_names():
+    from vigil_ray.queries import q_lang_doc_counts, queries, query
+
+    def lang_doc_counts(sf_dir):
+        return None
+
+    with pytest.raises(ValueError, match="q_<name>"):
+        query("SELECT 1")(lang_doc_counts)
+    with pytest.raises(ValueError, match="registered twice"):
+        query("SELECT 1")(q_lang_doc_counts)
+    assert queries()["lang_doc_counts"] is q_lang_doc_counts
+
+
+def test_coverage_md_names_every_registered_query():
+    import os
+    import re
+
+    from vigil_ray.queries import queries
+
+    path = os.path.join(os.path.dirname(__file__), "..", "COVERAGE.md")
+    with open(path, encoding="utf-8") as f:
+        groups = re.findall(r"\(q:([^)]*)\)", f.read())
+    named = {n for g in groups for n in re.findall(r"`([^`]+)`", g)}
+    assert named == set(queries()), (
+        f"COVERAGE.md (q:...) names not in the registry: {named - set(queries())}; "
+        f"registered but not in COVERAGE.md: {set(queries()) - named}"
+    )

@@ -15,7 +15,7 @@ CI substitute, as the reference's own degrade-to-heuristic policy models
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 _WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -121,12 +121,3 @@ def classify(text: str) -> Tuple[str, float]:
         return ("und", 0.0)
     best_lang = _LANGS[counts.index(best_hits)]
     return (best_lang, round(best_hits / len(tokens), 4))
-
-
-def classify_many(texts: List[str]) -> Tuple[List[str], List[float]]:
-    preds, scores = [], []
-    for t in texts:
-        p, s = classify(t)
-        preds.append(p)
-        scores.append(s)
-    return preds, scores

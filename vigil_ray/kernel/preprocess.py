@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from typing import Iterable, List, Optional
+from typing import Optional
 
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")
 _WS_RUN = re.compile(r"\s+")
@@ -41,11 +41,6 @@ def normalize_text(value: Optional[object]) -> str:
     if _WS_NONCANON.search(value) is not None:
         value = _WS_RUN.sub(" ", value)
     return value.strip()
-
-
-def normalize_many(values: Iterable[Optional[object]]) -> List[str]:
-    """Vector form used inside ``map_batches`` bodies."""
-    return [normalize_text(v) for v in values]
 
 
 # --- exact keyword casefold -------------------------------------------------

@@ -1,10 +1,8 @@
 """Text analysis primitives: token counting and document fingerprinting.
 
-Token counting offers both a whitespace tokenizer (the SQL-oracle-friendly
-count) and a BPE-ish subword regex in the GPT-2 pre-tokenizer family for
-training-data budgeting. Fingerprints: md5 content hash (exact dedup key,
-matches DuckDB ``md5()``) and a 64-bit Rabin-Karp rolling polynomial hash
-usable for cheap shift-resistant chunk signatures.
+Token counting is a whitespace tokenizer (the SQL-oracle-friendly count).
+The fingerprint is an md5 content hash (exact dedup key, matches DuckDB
+``md5()``); word n-grams feed the shingle-based dedup operators.
 """
 
 from __future__ import annotations
@@ -14,14 +12,6 @@ import re
 from typing import List
 
 _WS_TOKEN = re.compile(r"\S+")
-# GPT-2-style pre-tokenizer (public; Radford et al. 2019 released regex shape)
-_BPE_PIECE = re.compile(
-    r"'(?:[sdmt]|ll|ve|re)| ?[^\W\d_]+| ?\d+| ?[^\s\w]+|\s+(?!\S)|\s+",
-    re.UNICODE,
-)
-
-_POLY_BASE = 1_000_003
-_POLY_MOD = (1 << 61) - 1
 
 
 def count_ws_tokens(text: str) -> int:
@@ -31,32 +21,9 @@ def count_ws_tokens(text: str) -> int:
     return len(_WS_TOKEN.findall(text))
 
 
-def count_bpe_pieces(text: str) -> int:
-    """Sub-word piece count under a GPT-2-family pre-tokenizer regex."""
-    if not text:
-        return 0
-    return len(_BPE_PIECE.findall(text))
-
-
 def md5_hex(text: str) -> str:
     """Content hash matching DuckDB's ``md5(text)``."""
     return hashlib.md5(text.encode("utf-8")).hexdigest()
-
-
-def rolling_hash(text: str) -> int:
-    """64-bit polynomial rolling hash of the whole string (Rabin-Karp form)."""
-    h = 0
-    for ch in text:
-        h = (h * _POLY_BASE + ord(ch)) % _POLY_MOD
-    return h
-
-
-def char_shingles(text: str, k: int = 5) -> List[str]:
-    """Overlapping character k-shingles of the lowercased, space-collapsed text."""
-    norm = " ".join(text.lower().split())
-    if len(norm) < k:
-        return [norm] if norm else []
-    return [norm[i : i + k] for i in range(len(norm) - k + 1)]
 
 
 def word_ngrams(text: str, n: int = 3) -> List[str]:

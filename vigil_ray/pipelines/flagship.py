@@ -11,8 +11,9 @@ after the run:
   dominant byte volume;
 - each input column is read with one ``to_pylist`` and the output is one
   table build per batch;
-- no stage materializes the dataset; consumption is ``write_parquet`` or an
-  aggregate.
+- no stage materializes the dataset, and building the plan executes
+  nothing (a batch without ``html`` skips extraction, so the input's schema
+  is never asked for); consumption is ``write_parquet`` or an aggregate.
 
 Reference lifecycle being re-expressed: main.py:147-193 (load → sequential
 detect loop → annotate → save), as a lazy block-streamed Dataset pipeline.
@@ -25,7 +26,7 @@ from typing import Optional
 import ray.data as rd
 
 from vigil_ray.config import PipelineConfig
-from vigil_ray.stages.document import PARTS, document_stage
+from vigil_ray.stages.document import document_stage
 
 
 def quality_filter(
@@ -38,8 +39,7 @@ def quality_filter(
     tipos_detectados, detalhes, sinais_contextuais, confianca, text_scrubbed,
     n_tox, tox_ratio, is_toxic.
     """
-    parts = PARTS if "html" in ds.schema().names else PARTS[1:]
-    ds = document_stage(ds, cfg, parts)
+    ds = document_stage(ds, cfg)
     # Ray Data's per-operator reservation (ReservationOpResourceAllocator)
     # splits half the session's CPUs evenly over the eligible operators and
     # shares the rest, so the read and the fused per-document operator each
@@ -52,9 +52,3 @@ def quality_filter(
     # context), so the input Dataset executes without the reservation too.
     ds.context.op_resource_reservation_enabled = False
     return ds
-
-
-def read_pages(path: str, columns=None) -> "rd.Dataset":
-    """Parquet reader for the pages table; pass ``columns`` to prune payload
-    columns at the read when html is not needed."""
-    return rd.read_parquet(path, columns=columns)

@@ -296,10 +296,6 @@ def synthesize_frontier(sf_dir: str) -> pa.Table:
     )
 
 
-def family_of(k: int) -> int:
-    return k % N_FAMILIES
-
-
 def expected_has_pii(k: int) -> bool:
     return FAMILIES[k % N_FAMILIES][1]
 

@@ -52,24 +52,6 @@ def lang_counts(ds, column: str = "lang_pred"):
     return partials.groupby(column).aggregate(Sum("n_partial", alias_name="n"))
 
 
-def drop_reason_counts(ds):
-    """Exploded ``drop_reasons`` → count per reason."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for reasons in batch.column("drop_reasons").to_pylist():
-            counts.update(reasons or [])
-        return pa.table(
-            {
-                "reason": pa.array(list(counts.keys()), pa.string()),
-                "n_partial": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("reason").aggregate(Sum("n_partial", alias_name="n"))
-
-
 def summary_stats(ds) -> Dict[str, float]:
     """Driver-side scalar summary (reference main.py:189-191,453-469):
     total docs, docs with PII, kept docs — one pass of partial sums."""

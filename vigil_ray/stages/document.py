@@ -8,7 +8,9 @@ kernel mapped over every page of the batch:
   ``text`` byte for byte (the BASELINE per-url invariant); ``html`` is not
   carried past this point, so the big payload column never reaches the
   output. A page whose extraction raises gets the empty body and
-  ``extract_ok`` false;
+  ``extract_ok`` false. A batch without an ``html`` column skips this part,
+  so a caller never has to inspect its input's schema (which, behind a
+  lazy map, executes the upstream) to choose the parts;
 - ``quality``: language ID, char-LM perplexity (the per-worker
   ``kernel.perplexity.default_model()``, whose capped memos stay warm across
   tasks), the Gopher/C4 features and their rule gate, ``keep`` and
@@ -138,7 +140,8 @@ class DocumentOp:
         names = batch.column_names
         texts = batch.column(cfg.text_column).to_pylist()
         cols: Dict[str, list] = {}  # produced columns, in output order
-        if self.extract:
+        extract = self.extract and "html" in names
+        if extract:
             bodies, ok = [], []
             for html, text in zip(_drain(batch.column("html").to_pylist()), texts):
                 try:
@@ -163,7 +166,7 @@ class DocumentOp:
         if self.toxicity:
             self._toxicity(pages, scrub, cols)
         types = {**_TYPES, cfg.text_column: pa.string()}
-        out = {name: batch.column(name) for name in names if not (self.extract and name == "html")}
+        out = {name: batch.column(name) for name in names if not (extract and name == "html")}
         # a produced column keeps the position of the input column it replaces
         for name in list(cols):
             out[name] = pa.array(cols.pop(name), types[name])
