@@ -1430,3 +1430,84 @@ class TestWinnowDistinct:
             assert {r["fp_hash"]: r["pos"] for r in dis} == first_pos
 
         check()
+
+
+
+def _empty_events():
+    """A user-event stream filtered to zero rows: every block of the
+    operators' sorted input is empty (the schema survives the filter)."""
+    import pandas as pd
+    import ray.data as rd
+
+    df = pd.DataFrame(
+        {
+            "user_id": [i % 3 for i in range(12)],
+            "t": range(12),
+            "ts": pd.date_range("2026-01-01", periods=12, freq="min"),
+            "event_type": ["signup", "click", "purchase"] * 4,
+            "v": [float(i) for i in range(12)],
+            "c": range(12),
+        }
+    )
+    return rd.from_pandas(df).repartition(3).filter(expr="c < 0")
+
+
+def _run_on_empty(op, ds):
+    import ray.data as rd
+
+    from vigil_ray.stages import corpus, sessions, sortmerge
+
+    if op == "prefix_scan_sum":
+        return corpus.prefix_scan(ds, ["t"], cost_col="c")
+    if op == "prefix_scan_rank":
+        return corpus.prefix_scan(ds, ["t"])
+    if op == "prefix_scan_max":
+        return corpus.prefix_scan(ds, ["t"], cost_col="c", op="max")
+    if op == "grouped_prefix_scan":
+        return corpus.grouped_prefix_scan(ds, ["user_id"], ["t"], cost_col="c")
+    if op == "grouped_fill_forward":
+        return corpus.grouped_fill_forward(ds, ["user_id"], ["t"], "v")
+    if op in ("grouped_shift_lag", "grouped_shift_lead"):
+        periods = 1 if op.endswith("lag") else -1
+        return corpus.grouped_shift(ds, ["user_id"], ["t"], "v", periods=periods)
+    if op in ("grouped_rolling_median", "grouped_rolling_sum"):
+        return getattr(corpus, op)(ds, ["user_id"], ["t"], "c")
+    if op == "sorted_attach":
+        return sortmerge.sorted_attach(ds, ["user_id"], sum_cols=["c"], count_name="n")
+    if op == "sorted_lookup_join":
+        lookup = rd.from_items([{"user_id": u, "name": f"u{u}"} for u in range(3)])
+        return sortmerge.sorted_lookup_join(ds, lookup, ["user_id"])
+    if op == "sessionize":
+        return sessions.sessionize(ds)
+    raise KeyError(op)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize(
+    "op",
+    [
+        "prefix_scan_sum",
+        "prefix_scan_rank",
+        "prefix_scan_max",
+        "grouped_prefix_scan",
+        "grouped_fill_forward",
+        "grouped_shift_lag",
+        "grouped_shift_lead",
+        "grouped_rolling_median",
+        "grouped_rolling_sum",
+        "sorted_attach",
+        "sorted_lookup_join",
+        "sessionize",
+        "funnel_counts",
+    ],
+)
+def test_sorted_block_operators_on_empty_input(op):
+    """Every sorted-block operator handles an input filtered to zero rows:
+    0 rows out (funnel: every stage count 0), no exception."""
+    from vigil_ray.stages.sessions import funnel_counts
+
+    if op == "funnel_counts":
+        out = funnel_counts(_empty_events(), ("signup", "click", "purchase"))
+        assert out.column("n_users").to_pylist() == [0, 0, 0]
+    else:
+        assert _run_on_empty(op, _empty_events()).count() == 0

@@ -1,8 +1,10 @@
-"""Property tests: the sorted-block window-analytic primitives
-(grouped_prefix_scan / grouped_fill_forward / grouped_shift) against their
-pandas reference semantics on randomized inputs — random key skew, null
-patterns, and block layouts. Complements the constructed-case batteries in
-tests/test_corpus.py with generative coverage of boundary interactions."""
+"""Property tests: the sorted-block window-analytic primitives (prefix_scan
+sum / rank / max, grouped_prefix_scan, grouped_fill_forward, grouped_shift,
+grouped_rolling_median / grouped_rolling_sum) against their pandas reference
+semantics on randomized inputs — random key skew, null patterns, and block
+layouts — and the sorted-run reducers and monoid operators against plain
+Python. Complements the constructed-case batteries in tests/test_corpus.py
+with generative coverage of boundary interactions."""
 
 import pandas as pd
 import pytest
@@ -22,6 +24,16 @@ rows_strategy = st.lists(
         st.integers(min_value=0, max_value=3),
         st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False,
                                        min_value=-1e6, max_value=1e6)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+# rows: (key in 0..3, integer cost); order index appended
+cost_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=50),
     ),
     min_size=1,
     max_size=60,
@@ -76,17 +88,7 @@ class TestWindowPrimitiveProperties:
         want["s"] = want.groupby("u")["v"].shift(periods)
         pd.testing.assert_frame_equal(out[want.columns], want, check_dtype=False)
 
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=0, max_value=50),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        nblocks=st.integers(min_value=1, max_value=7),
-    )
+    @given(rows=cost_rows, nblocks=st.integers(min_value=1, max_value=7))
     @settings(**_SETTINGS)
     def test_prefix_scan_matches_pandas(self, rows, nblocks):
         from vigil_ray.stages.corpus import grouped_prefix_scan
@@ -102,6 +104,44 @@ class TestWindowPrimitiveProperties:
         )
         want = df.sort_values(["u", "t"]).reset_index(drop=True)
         want["cum_excl"] = want.groupby("u")["c"].cumsum() - want["c"]
+        pd.testing.assert_frame_equal(out[want.columns], want, check_dtype=False)
+
+    @pytest.mark.parametrize("cost_col", ["c", None])
+    @given(rows=cost_rows, nblocks=st.integers(min_value=1, max_value=7))
+    @settings(**_SETTINGS)
+    def test_ungrouped_prefix_scan_matches_pandas(self, rows, nblocks, cost_col):
+        """prefix_scan's integer-cost sum and its 0-based rank (no cost)."""
+        from vigil_ray.stages.corpus import prefix_scan
+
+        df = pd.DataFrame({"t": range(len(rows)), "c": [r[1] for r in rows]})
+        out = (
+            prefix_scan(_ds(df, nblocks), ["t"], cost_col=cost_col)
+            .to_pandas()
+            .sort_values("t")
+            .reset_index(drop=True)
+        )
+        want = df.copy()
+        costs = want["c"] if cost_col else pd.Series(1, index=want.index)
+        want["cum_excl"] = costs.cumsum() - costs
+        assert str(out["cum_excl"].dtype) == "int64"
+        pd.testing.assert_frame_equal(out[want.columns], want, check_dtype=False)
+
+    @given(rows=cost_rows, nblocks=st.integers(min_value=1, max_value=7))
+    @settings(**_SETTINGS)
+    def test_prefix_max_matches_pandas(self, rows, nblocks):
+        from vigil_ray.stages.corpus import prefix_scan
+
+        df = pd.DataFrame({"t": range(len(rows)), "c": [r[1] for r in rows]})
+        out = (
+            prefix_scan(_ds(df, nblocks), ["t"], cost_col="c", op="max")
+            .to_pandas()
+            .sort_values("t")
+            .reset_index(drop=True)
+        )
+        want = df.copy()
+        want["cum_excl"] = (
+            want["c"].astype(float).cummax().shift(1).fillna(float("-inf"))
+        )
         pd.testing.assert_frame_equal(out[want.columns], want, check_dtype=False)
 
 
@@ -197,47 +237,55 @@ class TestMonoidOpProperties:
         assert got == want
 
 
+rolling_given = dict(
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=-1000, max_value=1000),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    nblocks=st.integers(min_value=1, max_value=7),
+    window=st.integers(min_value=2, max_value=6),
+)
+
+
+def _check_rolling(how, rows, nblocks, window):
+    from vigil_ray.stages import corpus
+
+    df = pd.DataFrame(
+        {
+            "k": [r[0] for r in rows],
+            "t": range(len(rows)),
+            "v": [r[1] for r in rows],
+        }
+    )
+    out = (
+        getattr(corpus, f"grouped_rolling_{how}")(
+            _ds(df, nblocks), ["k"], ["t"], "v", window=window, out_col="m"
+        )
+        .to_pandas()
+        .sort_values(["k", "t"])
+        .reset_index(drop=True)
+    )
+    want = df.sort_values(["k", "t"]).reset_index(drop=True)
+    rolling = want.groupby("k")["v"].rolling(window, min_periods=1)
+    want["m"] = getattr(rolling, how)().reset_index(level=0, drop=True)
+    pd.testing.assert_frame_equal(out[["k", "t", "v", "m"]], want, check_dtype=False)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestRollingMedianProperties:
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=-1000, max_value=1000),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        nblocks=st.integers(min_value=1, max_value=7),
-        window=st.integers(min_value=2, max_value=6),
-    )
+    @given(**rolling_given)
     @settings(**_SETTINGS)
     def test_matches_pandas_rolling_median(self, rows, nblocks, window):
-        from vigil_ray.stages.corpus import grouped_rolling_median
+        _check_rolling("median", rows, nblocks, window)
 
-        df = pd.DataFrame(
-            {
-                "k": [r[0] for r in rows],
-                "t": range(len(rows)),
-                "v": [r[1] for r in rows],
-            }
-        )
-        out = (
-            grouped_rolling_median(
-                _ds(df, nblocks), ["k"], ["t"], "v", window=window, out_col="m"
-            )
-            .to_pandas()
-            .sort_values(["k", "t"])
-            .reset_index(drop=True)
-        )
-        want = df.sort_values(["k", "t"]).reset_index(drop=True)
-        want["m"] = (
-            want.groupby("k")["v"]
-            .rolling(window, min_periods=1)
-            .median()
-            .reset_index(level=0, drop=True)
-        )
-        pd.testing.assert_frame_equal(out[["k", "t", "v", "m"]], want, check_dtype=False)
+    @given(**rolling_given)
+    @settings(**_SETTINGS)
+    def test_matches_pandas_rolling_sum(self, rows, nblocks, window):
+        _check_rolling("sum", rows, nblocks, window)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -14,6 +14,12 @@ training, each in its canonical distributed shape:
   token/byte-budget shard packing (`sum(cost) OVER (ORDER BY id)`) and a
   seeded, reproducible global shuffle rank (`row_number() OVER (ORDER BY
   md5(id||seed))`).
+- :func:`grouped_prefix_scan` / :func:`grouped_fill_forward` /
+  :func:`grouped_shift` / :func:`grouped_rolling_median` /
+  :func:`grouped_rolling_sum` — PARTITION-BY window analytics with no
+  per-key state. They and :func:`prefix_scan` run on ONE block-carry scan,
+  ``runs.scan_sorted_blocks``; each supplies only its per-block summary,
+  its driver walk and its in-block apply.
 - :func:`hash_split` — deterministic train/val/test assignment from a keyed
   md5 bucket; embarrassingly parallel, stable across runs and cluster sizes.
 - :func:`bloom_anti_join` — "drop every row whose key is in the blocklist"
@@ -341,108 +347,48 @@ def prefix_scan(
     only) in ``sort_cols`` order. First row gets 0 for sum, ``-inf`` for max
     (no preceding rows).
 
-    The canonical two-phase distributed prefix scan:
-
-    1. globally sort and PIN the block layout (``materialize`` — the barrier
-       is inherent: no row can know its prefix before every earlier block's
-       total exists);
-    2. pass 1 reduces each block to one (first_key, block_total) row — a
-       per-block scalar, collected to the driver (block-count-sized, never
-       row-sized);
-    3. exclusive block offsets (running sum / running max over blocks) are
-       broadcast and pass 2 combines the in-block running scan, processing
-       whole blocks (``batch_size=None``) so both passes see the identical
-       layout. Sort keys must be unique (block offsets key on the first
-       row's key values).
+    The canonical two-phase distributed prefix scan on
+    ``runs.scan_sorted_blocks``: globally sort and PIN the block layout
+    (the barrier is inherent: no row can know its prefix before every
+    earlier block's total exists), reduce each block to its total, walk
+    the block totals on the driver into exclusive block offsets, and
+    combine them with the in-block running scan. The sum is
+    :func:`grouped_prefix_scan` with no key (integer-exact for integer
+    costs). Sort keys must be unique.
     """
-    import ray
-
     if op not in ("sum", "max"):
         raise ValueError(f"unsupported prefix op: {op}")
-    if op == "max" and not cost_col:
+    if op == "sum":
+        return grouped_prefix_scan(ds, [], sort_cols, cost_col)
+    if not cost_col:
         raise ValueError("prefix max needs a cost column")
+    from vigil_ray.stages.runs import np_col, scan_sorted_blocks
 
-    # compact: drop the sort's empty blocks so neither pass sees
-    # zero-column passthrough blocks (blocks.py) — layout stays pinned for
-    # both passes (compaction happens once, before either map)
-    from vigil_ray.stages.blocks import coalesce_blocks
+    # MAX never accumulates, so float is exact (values must fit a double)
+    def values(block: pa.Table) -> np.ndarray:
+        return np_col(block, cost_col).astype(np.float64)
 
-    ds = compact_blocks(coalesce_blocks(ds).sort(list(sort_cols)))
+    def summarize(block: pa.Table, starts: np.ndarray) -> dict:
+        return {"total": pa.array([values(block).max()], pa.float64())}
 
-    def _np(col) -> np.ndarray:
-        return col.combine_chunks().to_numpy(zero_copy_only=False)
+    def walk(blocks: List[dict]) -> list:
+        offsets, run = [], float("-inf")
+        for b in blocks:
+            offsets.append(run)
+            run = max(run, b["total"])
+        return offsets
 
-    # the SUM path stays integer-exact when costs are integers (a 100-TB
-    # token/byte budget exceeds 2^53, where incremental float addition
-    # diverges from the SQL window's one-shot sum); MAX never accumulates,
-    # so float is fine there (values themselves must fit a double exactly)
-    schema = ds.schema()
-    col_types = (
-        dict(zip(schema.names, schema.types)) if schema is not None else {}
+    def apply(block: pa.Table, starts: np.ndarray, base: float) -> pa.Table:
+        # exclusive running max: shift the inclusive accumulate right
+        inc = np.maximum.accumulate(values(block))
+        cum = np.empty_like(inc)
+        cum[0] = base
+        cum[1:] = np.maximum(base, inc[:-1])
+        return block.append_column("cum_excl", pa.array(cum, pa.float64()))
+
+    return scan_sorted_blocks(
+        ds, [], sort_cols, lambda types: (summarize, walk, apply)
     )
-    int_exact = op == "sum" and (
-        cost_col is None
-        or (cost_col in col_types and pa.types.is_integer(col_types[cost_col]))
-    )
-    total_type = pa.int64() if int_exact else pa.float64()
-
-    def block_total(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # a sorted materialize can leave empty blocks
-            return batch.slice(0, 0).select(list(sort_cols)).append_column(
-                "total", pa.array([], total_type)
-            )
-        if cost_col:
-            vals = _np(batch.column(cost_col))
-            total = np.max(vals) if op == "max" else np.sum(vals)
-        else:
-            total = batch.num_rows
-        total = int(total) if int_exact else float(total)
-        # the block's FIRST row carries the sort-key values natively (typed
-        # columns, NOT a stringified key — a string sort of numeric keys
-        # would order block offsets lexicographically and corrupt the scan)
-        return batch.slice(0, 1).select(list(sort_cols)).append_column(
-            "total", pa.array([total], total_type)
-        )
-
-    totals = ds.map_batches(
-        block_total, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    # driver work is O(number of blocks): order block offsets by first key
-    totals.sort(key=lambda r: tuple(r[c] for c in sort_cols))
-    offsets = {}
-    run = (0 if int_exact else 0.0) if op == "sum" else float("-inf")
-    for r in totals:
-        offsets[tuple(r[c] for c in sort_cols)] = run
-        run = run + r["total"] if op == "sum" else max(run, r["total"])
-    off_ref = ray.put(offsets)
-
-    cum_type = pa.int64() if int_exact else pa.float64()
-
-    def add_prefix(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("cum_excl", pa.array([], cum_type))
-        offs = ray.get(off_ref)
-        key = tuple(batch.column(c)[0].as_py() for c in sort_cols)
-        base = offs[key]
-        if op == "max":
-            vals = _np(batch.column(cost_col)).astype(np.float64)
-            # exclusive running max: shift the inclusive accumulate right
-            inc = np.maximum.accumulate(vals)
-            cum = np.empty_like(inc)
-            cum[0] = base
-            if len(inc) > 1:
-                cum[1:] = np.maximum(base, inc[:-1])
-        elif cost_col:
-            dtype = np.int64 if int_exact else np.float64
-            costs = _np(batch.column(cost_col)).astype(dtype)
-            cum = base + np.cumsum(costs) - costs
-        else:
-            cum = base + np.arange(
-                batch.num_rows, dtype=np.int64 if int_exact else np.float64
-            )
-        return batch.append_column("cum_excl", pa.array(cum, cum_type))
-
-    return ds.map_batches(add_prefix, batch_format="pyarrow", batch_size=None)
 
 
 def grouped_prefix_scan(
@@ -456,125 +402,74 @@ def grouped_prefix_scan(
     partition, ordered by ``order_cols`` — the distributed form of
     ``sum(cost) OVER (PARTITION BY key ORDER BY ord)`` / ``row_number()``.
 
-    Same two-phase shape as :func:`prefix_scan` (sort, pin the layout, one
-    block-count-sized driver pass, identical-layout second pass), but the
-    carry is PER KEY: after the global sort each key's rows are contiguous,
-    so the only run in a block that can owe a carry from earlier blocks is
-    its FIRST one, and the only run that can lend forward is its LAST —
-    the driver walks the blocks in order keeping one (key, acc) pair.
-    Unlike the collect-list window pattern (sessions / cumulative), no
-    worker ever holds a whole key's history: a single key spanning the
-    entire corpus streams through in block-sized pieces — this is the
-    10^12-row window-analytic shape. Sums are integer-exact for integer
-    costs. ``key_cols + order_cols`` must be row-unique (block offsets key
-    on first-row values, as in prefix_scan).
+    A block-carry scan (``runs.scan_sorted_blocks``): each block reports
+    its first- and last-run totals, and the driver walks the blocks in
+    order keeping one (key, acc) pair. Unlike the collect-list window
+    pattern (sessions / cumulative), no worker ever holds a whole key's
+    history: a single key spanning the entire corpus streams through in
+    block-sized pieces — this is the 10^12-row window-analytic shape.
+    Sums are integer-exact for integer costs (a 100-TB token/byte budget
+    exceeds 2^53, where float addition diverges from the SQL window's
+    one-shot sum). With no ``key_cols`` it is the global prefix sum.
     """
-    import ray
+    from vigil_ray.stages.runs import np_col, scan_sorted_blocks
 
-    from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
-
-    key_cols, order_cols = list(key_cols), list(order_cols)
-    sort_cols = key_cols + order_cols
-    ds = compact_blocks(coalesce_blocks(ds).sort(sort_cols))
-
-    def _np(col) -> np.ndarray:
-        return col.combine_chunks().to_numpy(zero_copy_only=False)
-
-    schema = ds.schema()
-    col_types = (
-        dict(zip(schema.names, schema.types)) if schema is not None else {}
-    )
-    int_exact = cost_col is None or (
-        cost_col in col_types and pa.types.is_integer(col_types[cost_col])
-    )
-    np_dtype = np.int64 if int_exact else np.float64
-    cum_type = pa.int64() if int_exact else pa.float64()
-
-    def _costs(batch: pa.Table) -> np.ndarray:
-        if cost_col:
-            return _np(batch.column(cost_col)).astype(np_dtype)
-        return np.ones(batch.num_rows, dtype=np.int64)
-
-    def block_edges(batch: pa.Table) -> pa.Table:
-        # one row per block: the block id (first-row sort key, native types)
-        # plus first-run / last-run keys and totals — the only runs that can
-        # exchange carry across block boundaries
-        if batch.num_rows == 0:
-            t = batch.slice(0, 0).select(sort_cols)
-            for name in ("first_total", "last_total"):
-                t = t.append_column(name, pa.array([], cum_type))
-            for c in key_cols:
-                t = t.append_column(f"__last_{c}", batch.slice(0, 0).column(c))
-            return t.append_column("single_run", pa.array([], pa.bool_()))
-        starts = _run_starts_impl(batch, key_cols)
-        costs = _costs(batch)
-        first_end = int(starts[1]) if len(starts) > 1 else batch.num_rows
-        first_total = costs[:first_end].sum()
-        last_total = costs[int(starts[-1]):].sum()
-        t = batch.slice(0, 1).select(sort_cols)
-        t = t.append_column("first_total", pa.array([first_total], cum_type))
-        t = t.append_column("last_total", pa.array([last_total], cum_type))
-        # last run's key values ride along as extra columns
-        for c in key_cols:
-            t = t.append_column(
-                f"__last_{c}", batch.slice(int(starts[-1]), 1).column(c)
-            )
-        return t.append_column(
-            "single_run", pa.array([len(starts) == 1], pa.bool_())
+    def make_scan(types: dict):
+        int_exact = cost_col is None or (
+            cost_col in types and pa.types.is_integer(types[cost_col])
         )
+        np_dtype = np.int64 if int_exact else np.float64
+        cum_type = pa.int64() if int_exact else pa.float64()
 
-    edges = ds.map_batches(
-        block_edges, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    edges.sort(key=lambda r: tuple(r[c] for c in sort_cols))
+        def costs(block: pa.Table) -> np.ndarray:
+            if cost_col:
+                return np_col(block, cost_col).astype(np_dtype)
+            return np.ones(block.num_rows, dtype=np.int64)
 
-    zero = 0 if int_exact else 0.0
-    carries = {}
-    prev_key, acc = None, zero
-    for e in edges:
-        first_key = tuple(e[c] for c in key_cols)
-        block_id = tuple(e[c] for c in sort_cols)
-        carry = acc if first_key == prev_key else zero
-        carries[block_id] = carry
-        if e["single_run"]:
-            acc = carry + e["first_total"]
-            prev_key = first_key
-        else:
-            acc = e["last_total"]
-            prev_key = tuple(e[f"__last_{c}"] for c in key_cols)
-    carry_ref = ray.put(carries)
+        def summarize(block: pa.Table, starts: np.ndarray) -> dict:
+            c = costs(block)
+            first_end = np.append(starts, block.num_rows)[1]
+            return {
+                "first_total": pa.array([c[:first_end].sum()], cum_type),
+                "last_total": pa.array([c[starts[-1]:].sum()], cum_type),
+            }
 
-    def add_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("cum_excl", pa.array([], cum_type))
-        costs = _costs(batch)
-        starts = _run_starts_impl(batch, key_cols)
-        excl = np.cumsum(costs) - costs
-        lengths = np.diff(np.append(starts, batch.num_rows))
-        # reset the running sum at each key run (vectorized per-run rebase)
-        excl = excl - np.repeat(excl[starts], lengths)
-        block_id = tuple(batch.column(c)[0].as_py() for c in sort_cols)
-        carry = ray.get(carry_ref)[block_id]
-        if carry:
-            first_end = int(starts[1]) if len(starts) > 1 else batch.num_rows
-            excl = excl.astype(np_dtype, copy=True)
-            excl[:first_end] += carry
-        return batch.append_column("cum_excl", pa.array(excl, cum_type))
+        def walk(blocks: List[dict]) -> list:
+            zero = 0 if int_exact else 0.0
+            carries, prev_key, acc = [], None, zero
+            for b in blocks:
+                carry = acc if b["first_key"] == prev_key else zero
+                carries.append(carry)
+                if b["single_run"]:
+                    acc = carry + b["first_total"]
+                else:
+                    acc = b["last_total"]
+                prev_key = b["last_key"]
+            return carries
 
-    return ds.map_batches(add_scan, batch_format="pyarrow", batch_size=None)
+        def apply(block: pa.Table, starts: np.ndarray, carry) -> pa.Table:
+            c = costs(block)
+            excl = np.cumsum(c) - c
+            lengths = np.diff(np.append(starts, block.num_rows))
+            # reset the running sum at each key run (vectorized per-run rebase)
+            excl = excl - np.repeat(excl[starts], lengths)
+            if carry:
+                excl[: lengths[0]] += carry
+            return block.append_column("cum_excl", pa.array(excl, cum_type))
+
+        return summarize, walk, apply
+
+    return scan_sorted_blocks(ds, key_cols, order_cols, make_scan)
 
 
-def _resolve_value_type(ds, value_col: str):
-    """The value column's Arrow type from the Dataset schema, with a float64
-    fallback for null-typed / untyped columns. Pandas-backed blocks report
-    NUMPY dtypes from ``ds.schema()`` (found by property test: an all-None
-    object column is not a ``pa.DataType`` and ``pa.types.is_null`` raises),
-    so non-Arrow entries are mapped via ``pa.from_numpy_dtype`` first."""
-    schema = ds.schema()
-    vtype = None
-    if schema is not None:
-        vtype = dict(zip(schema.names, schema.types)).get(value_col)
+def _resolve_value_type(types: dict, value_col: str):
+    """The value column's Arrow type from a Dataset schema's ``{column:
+    type}``, with a float64 fallback for null-typed / untyped columns.
+    Pandas-backed blocks report NUMPY dtypes from ``ds.schema()`` (found by
+    property test: an all-None object column is not a ``pa.DataType`` and
+    ``pa.types.is_null`` raises), so non-Arrow entries are mapped via
+    ``pa.from_numpy_dtype`` first."""
+    vtype = types.get(value_col)
     if vtype is not None and not isinstance(vtype, pa.DataType):
         try:
             vtype = pa.from_numpy_dtype(vtype)
@@ -583,6 +478,16 @@ def _resolve_value_type(ds, value_col: str):
     if vtype is None or pa.types.is_null(vtype):
         vtype = pa.float64()
     return vtype
+
+
+def _value_col(block: pa.Table, value_col: str, vtype) -> pa.Array:
+    """``value_col`` as one array; an all-null block reports a ``null``-typed
+    column (from_items / filtered inputs), cast to the type resolved once on
+    the driver so every block emits one consistent type."""
+    import pyarrow.compute as pc
+
+    col = block.column(value_col).combine_chunks()
+    return pc.cast(col, vtype) if pa.types.is_null(col.type) else col
 
 
 def grouped_fill_forward(
@@ -598,122 +503,64 @@ def grouped_fill_forward(
     key ORDER BY ord ROWS UNBOUNDED PRECEDING)``). Rows before a key's first
     observation stay null.
 
-    Same two-phase shape as :func:`grouped_prefix_scan`: global sort pins
-    the layout, one block-count-sized driver walk threads the last-seen
-    value across block boundaries (only a block's FIRST run can owe a value
-    from earlier blocks), and an identical-layout second pass fills within
-    blocks vectorized. No worker ever holds a key's history.
-    ``key_cols + order_cols`` must be row-unique.
+    A block-carry scan (``runs.scan_sorted_blocks``): the driver walk
+    threads the last-seen value across block boundaries (only a block's
+    FIRST run can owe a value from earlier blocks), and the second pass
+    fills within blocks vectorized. No worker ever holds a key's history.
     """
     import pyarrow.compute as pc
-    import ray
 
-    from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    from vigil_ray.stages.runs import scan_sorted_blocks
 
-    key_cols, order_cols = list(key_cols), list(order_cols)
-    sort_cols = key_cols + order_cols
-    ds = compact_blocks(coalesce_blocks(ds).sort(sort_cols))
+    def make_scan(types: dict):
+        vtype = _resolve_value_type(types, value_col)
 
-    # resolve the value type ONCE on the driver: an all-null block reports a
-    # `null`-typed column (from_items / filtered inputs), and the fill pass
-    # must emit one consistent type across blocks
-    vtype_global = _resolve_value_type(ds, value_col)
+        def summarize(block: pa.Table, starts: np.ndarray) -> dict:
+            # last non-null of the LAST run (null if the run is all-null:
+            # the run STARTS in this block, so nothing earlier can exist
+            # for it unless it is the block's only run)
+            tail = _value_col(block, value_col, vtype).slice(int(starts[-1]))
+            valid = np.flatnonzero(pc.is_valid(tail).to_numpy(zero_copy_only=False))
+            last = tail.slice(int(valid[-1]), 1) if len(valid) else pa.nulls(1, vtype)
+            return {"last_val": last}
 
-    def _vcol(batch: pa.Table):
-        import pyarrow.compute as _pc
+        def walk(blocks: List[dict]) -> list:
+            carries, prev_key, acc = [], None, None
+            for b in blocks:
+                carry = acc if b["first_key"] == prev_key else None
+                carries.append(carry)
+                # a run spanning the whole block passes the carry through
+                # its nulls
+                if b["single_run"] and b["last_val"] is None:
+                    acc = carry
+                else:
+                    acc = b["last_val"]
+                prev_key = b["last_key"]
+            return carries
 
-        col = batch.column(value_col).combine_chunks()
-        if pa.types.is_null(col.type):
-            col = _pc.cast(col, vtype_global)
-        return col
+        def apply(block: pa.Table, starts: np.ndarray, carry) -> pa.Table:
+            col = _value_col(block, value_col, vtype)
+            n = block.num_rows
+            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+            lengths = np.diff(np.append(starts, n))
+            pos = np.arange(n, dtype=np.int64)
+            seen = np.maximum.accumulate(np.where(valid, pos, -1))
+            has_val = seen >= np.repeat(starts, lengths)  # observed in this run
+            taken = col.take(pa.array(np.maximum(seen, 0), pa.int64()))
+            out = pc.if_else(pa.array(has_val), taken, pa.scalar(None, vtype))
+            if carry is not None:
+                first_end = lengths[0]
+                head = pc.if_else(
+                    pa.array(~has_val[:first_end]),
+                    pa.scalar(carry, vtype),
+                    out.slice(0, first_end),
+                )
+                out = pa.concat_arrays([head, out.slice(first_end)])
+            return block.append_column(out_col, out)
 
-    def block_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            t = batch.slice(0, 0).select(sort_cols)
-            t = t.append_column("last_val", pa.nulls(0, vtype_global))
-            for c in key_cols:
-                t = t.append_column(f"__last_{c}", batch.slice(0, 0).column(c))
-            return t.append_column("single_run", pa.array([], pa.bool_()))
-        starts = _run_starts_impl(batch, key_cols)
-        col = _vcol(batch)
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        last_start = int(starts[-1])
-        tail_valid = np.flatnonzero(valid[last_start:])
-        # last non-null of the LAST run (None if the run is all-null: the
-        # run STARTS in this block, so nothing earlier can exist for it)
-        last_idx = (
-            last_start + int(tail_valid[-1]) if len(tail_valid) else None
-        )
-        t = batch.slice(0, 1).select(sort_cols)
-        t = t.append_column(
-            "last_val",
-            col.slice(last_idx, 1) if last_idx is not None
-            else pa.nulls(1, vtype_global),
-        )
-        for c in key_cols:
-            t = t.append_column(f"__last_{c}", batch.slice(last_start, 1).column(c))
-        return t.append_column(
-            "single_run", pa.array([len(starts) == 1], pa.bool_())
-        )
+        return summarize, walk, apply
 
-    edges = ds.map_batches(
-        block_edges, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    edges.sort(key=lambda r: tuple(r[c] for c in sort_cols))
-
-    carries = {}
-    prev_key, acc = None, None
-    for e in edges:
-        first_key = tuple(e[c] for c in key_cols)
-        block_id = tuple(e[c] for c in sort_cols)
-        carries[block_id] = acc if first_key == prev_key else None
-        if e["single_run"]:
-            if e["last_val"] is not None:
-                acc = e["last_val"]
-            elif first_key != prev_key:
-                acc = None
-            prev_key = first_key
-        else:
-            acc = e["last_val"]
-            prev_key = tuple(e[f"__last_{c}"] for c in key_cols)
-    carry_ref = ray.put(carries)
-
-    def fill(batch: pa.Table) -> pa.Table:
-        vtype = vtype_global
-        if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.nulls(0, vtype))
-        col = _vcol(batch)
-        n = batch.num_rows
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        starts = _run_starts_impl(batch, key_cols)
-        lengths = np.diff(np.append(starts, n))
-        pos = np.arange(n, dtype=np.int64)
-        seen = np.maximum.accumulate(np.where(valid, pos, -1))
-        run_start = np.repeat(starts, lengths)
-        has_val = seen >= run_start  # an observation within this row's run
-        taken = col.take(pa.array(np.maximum(seen, 0), pa.int64()))
-        out = pc.if_else(pa.array(has_val), taken, pa.scalar(None, vtype))
-        block_id = tuple(batch.column(c)[0].as_py() for c in sort_cols)
-        carry = ray.get(carry_ref)[block_id]
-        if carry is not None:
-            first_end = int(starts[1]) if len(starts) > 1 else n
-            head_gap = pa.array(~has_val[:first_end])
-            head = pc.if_else(
-                head_gap, pa.scalar(carry, vtype), out.slice(0, first_end)
-            )
-
-            def _plain(a):
-                return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-
-            out = (
-                pa.concat_arrays([_plain(head), _plain(out.slice(first_end))])
-                if first_end < n
-                else head
-            )
-        return batch.append_column(out_col, out)
-
-    return ds.map_batches(fill, batch_format="pyarrow", batch_size=None)
+    return scan_sorted_blocks(ds, key_cols, order_cols, make_scan)
 
 
 def grouped_shift(
@@ -731,113 +578,67 @@ def grouped_shift(
     supported — a one-row shift needs only the ADJACENT block's edge row,
     so the driver walk stays block-count-sized.
 
-    Same two-phase shape as :func:`grouped_fill_forward`: global sort pins
-    the layout; an edges pass emits each block's first/last (key, value)
-    row; the driver hands each block its neighbor's edge value when the run
-    continues across the boundary; an identical-layout second pass shifts
-    within blocks vectorized. No worker holds a key's history.
-    ``key_cols + order_cols`` must be row-unique.
+    A block-carry scan (``runs.scan_sorted_blocks``): each block reports
+    its first and last value; the driver hands each block its neighbor's
+    edge value when the run continues across the boundary, and the second
+    pass shifts within blocks vectorized. No worker holds a key's history.
     """
     import pyarrow.compute as pc
-    import ray
 
-    from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    from vigil_ray.stages.runs import scan_sorted_blocks
 
     if periods not in (1, -1):
         raise ValueError("grouped_shift supports periods=1 (lag) or -1 (lead)")
-    key_cols, order_cols = list(key_cols), list(order_cols)
-    sort_cols = key_cols + order_cols
-    ds = compact_blocks(coalesce_blocks(ds).sort(sort_cols))
 
-    vtype = _resolve_value_type(ds, value_col)
+    def make_scan(types: dict):
+        vtype = _resolve_value_type(types, value_col)
 
-    def _vcol(batch: pa.Table):
-        col = batch.column(value_col).combine_chunks()
-        if pa.types.is_null(col.type):
-            col = pc.cast(col, vtype)
-        return col
+        def summarize(block: pa.Table, starts: np.ndarray) -> dict:
+            col = _value_col(block, value_col, vtype)
+            return {"first_val": col.slice(0, 1), "last_val": col.slice(len(col) - 1, 1)}
 
-    def block_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            t = batch.slice(0, 0).select(sort_cols)
-            t = t.append_column("first_val", pa.nulls(0, vtype))
-            t = t.append_column("last_val", pa.nulls(0, vtype))
-            for c in key_cols:
-                t = t.append_column(f"__last_{c}", batch.slice(0, 0).column(c))
-            return t
-        col = _vcol(batch)
-        n = batch.num_rows
-        t = batch.slice(0, 1).select(sort_cols)  # block id = first-row sort tuple
-        t = t.append_column("first_val", col.slice(0, 1))
-        t = t.append_column("last_val", col.slice(n - 1, 1))
-        for c in key_cols:
-            t = t.append_column(f"__last_{c}", batch.slice(n - 1, 1).column(c))
-        return t
+        def walk(blocks: List[dict]) -> list:
+            # the neighbor-block value the block's edge row takes, or None
+            # when the run does not continue across that boundary
+            if periods == 1:  # lag: row 0 takes the PREVIOUS block's last value
+                pairs = zip([None] + blocks[:-1], blocks)
+                return [
+                    p["last_val"]
+                    if p is not None and p["last_key"] == b["first_key"]
+                    else None
+                    for p, b in pairs
+                ]
+            pairs = zip(blocks, blocks[1:] + [None])  # lead: the NEXT block's first
+            return [
+                nx["first_val"]
+                if nx is not None and nx["first_key"] == b["last_key"]
+                else None
+                for b, nx in pairs
+            ]
 
-    edges = ds.map_batches(
-        block_edges, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    edges.sort(key=lambda r: tuple(r[c] for c in sort_cols))
-
-    # carry[block] = the neighbor-block value the block's edge row takes,
-    # or None when the run does not continue across that boundary
-    carries = {}
-    for i, e in enumerate(edges):
-        block_id = tuple(e[c] for c in sort_cols)
-        first_key = tuple(e[c] for c in key_cols)
-        last_key = tuple(e[f"__last_{c}"] for c in key_cols)
-        if periods == 1:  # lag: row 0 takes the PREVIOUS block's last value
-            prev = edges[i - 1] if i > 0 else None
-            same = prev is not None and tuple(
-                prev[f"__last_{c}"] for c in key_cols
-            ) == first_key
-            carries[block_id] = prev["last_val"] if same else None
-        else:  # lead: last row takes the NEXT block's first value
-            nxt = edges[i + 1] if i + 1 < len(edges) else None
-            same = nxt is not None and tuple(nxt[c] for c in key_cols) == last_key
-            carries[block_id] = nxt["first_val"] if same else None
-    carry_ref = ray.put(carries)
-
-    def _plain(a):
-        return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-
-    def shift(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.nulls(0, vtype))
-        col = _vcol(batch)
-        n = batch.num_rows
-        starts = _run_starts_impl(batch, key_cols)
-        lengths = np.diff(np.append(starts, n))
-        if periods == 1:
-            idx = np.arange(n, dtype=np.int64) - 1
-            bound = np.repeat(starts, lengths)  # run start per row
-            has = idx >= bound
-        else:
-            idx = np.arange(n, dtype=np.int64) + 1
-            bound = np.repeat(np.append(starts[1:], n), lengths)  # run end
-            has = idx < bound
-        taken = col.take(pa.array(np.clip(idx, 0, n - 1), pa.int64()))
-        out = pc.if_else(pa.array(has), taken, pa.scalar(None, vtype))
-        block_id = tuple(batch.column(c)[0].as_py() for c in sort_cols)
-        carry = ray.get(carry_ref)[block_id]
-        if carry is not None:
-            patch = pa.array([carry], vtype)
+        def apply(block: pa.Table, starts: np.ndarray, carry) -> pa.Table:
+            col = _value_col(block, value_col, vtype)
+            n = block.num_rows
+            lengths = np.diff(np.append(starts, n))
             if periods == 1:
-                out = (
-                    pa.concat_arrays([patch, _plain(out.slice(1))])
-                    if n > 1
-                    else patch
-                )
+                idx = np.arange(n, dtype=np.int64) - 1
+                has = idx >= np.repeat(starts, lengths)  # run start per row
             else:
-                out = (
-                    pa.concat_arrays([_plain(out.slice(0, n - 1)), patch])
-                    if n > 1
-                    else patch
-                )
-        return batch.append_column(out_col, out)
+                idx = np.arange(n, dtype=np.int64) + 1
+                has = idx < np.repeat(np.append(starts[1:], n), lengths)  # run end
+            taken = col.take(pa.array(np.clip(idx, 0, n - 1), pa.int64()))
+            out = pc.if_else(pa.array(has), taken, pa.scalar(None, vtype))
+            if carry is not None:
+                patch = pa.array([carry], vtype)
+                if periods == 1:
+                    out = pa.concat_arrays([patch, out.slice(1)])
+                else:
+                    out = pa.concat_arrays([out.slice(0, n - 1), patch])
+            return block.append_column(out_col, out)
 
-    return ds.map_batches(shift, batch_format="pyarrow", batch_size=None)
+        return summarize, walk, apply
+
+    return scan_sorted_blocks(ds, key_cols, order_cols, make_scan)
 
 
 def _grouped_rolling(
@@ -852,95 +653,52 @@ def _grouped_rolling(
 ):
     """SQL ``median(v) OVER (PARTITION BY key ORDER BY ord ROWS BETWEEN
     window-1 PRECEDING AND CURRENT ROW)`` — a per-row ORDER-STATISTIC
-    window (nonlinear, unlike the prefix-scan sums), on the same two-phase
-    sorted-block shape as :func:`grouped_shift`, generalized from a 1-row
-    edge to a chained ≤(window−1)-row tail carry:
+    window (nonlinear, unlike the prefix-scan sums), as a block-carry scan
+    (``runs.scan_sorted_blocks``) generalized from :func:`grouped_shift`'s
+    1-row edge to a chained ≤(window−1)-row tail carry:
 
-    1. global sort pins the layout; an edges pass emits each block's
-       first/last key and the trailing ≤window−1 values of its LAST run;
+    1. each block reports the trailing ≤window−1 values of its LAST run;
     2. the driver walks blocks in order CHAINING tails — a run spanning
        many short blocks accumulates its true trailing values, and each
        block receives the carry its first run needs (≤window−1 values per
        block of driver state, never a key's history);
-    3. an identical-layout second pass computes every row's trailing-window
-       median fully vectorized: ``sliding_window_view`` over the
-       carry-extended values, run-start masking, ``nanmedian``.
+    3. the second pass computes every row's trailing-window reduction
+       fully vectorized: ``sliding_window_view`` over the carry-extended
+       values, run-start masking, ``reduce_fn``.
 
     Values must be integers (quantize first); medians of ≤``window`` ints
     are dyadic-exact doubles, so the result bit-matches a SQL ``median``
-    window aggregate. ``key_cols + order_cols`` must be row-unique.
+    window aggregate.
     """
-    import pyarrow.compute as pc  # noqa: F401  (kept for parity with siblings)
-    import ray
+    from vigil_ray.stages.runs import np_col, scan_sorted_blocks
 
-    from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
-
-    key_cols, order_cols = list(key_cols), list(order_cols)
-    sort_cols = key_cols + order_cols
     k_carry = window - 1
-    ds = compact_blocks(coalesce_blocks(ds).sort(sort_cols))
 
-    def block_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            t = batch.slice(0, 0).select(sort_cols)
-            t = t.append_column("tail", pa.array([], pa.list_(pa.int64())))
-            for c in key_cols:
-                t = t.append_column(f"__last_{c}", batch.slice(0, 0).column(c))
-            return t
-        n = batch.num_rows
-        starts = _run_starts_impl(batch, key_cols)
-        last_start = int(starts[-1])
-        vals = (
-            batch.column(value_col)
-            .combine_chunks()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        tail = vals[max(last_start, n - k_carry) : n].tolist()
-        t = batch.slice(0, 1).select(sort_cols)  # block id = first-row tuple
-        t = t.append_column("tail", pa.array([tail], pa.list_(pa.int64())))
-        for c in key_cols:
-            t = t.append_column(f"__last_{c}", batch.slice(n - 1, 1).column(c))
-        return t
+    def summarize(block: pa.Table, starts: np.ndarray) -> dict:
+        n = block.num_rows
+        vals = np_col(block, value_col).astype(np.int64)
+        tail = vals[max(int(starts[-1]), n - k_carry) : n].tolist()
+        return {"tail": pa.array([tail], pa.list_(pa.int64()))}
 
-    edges = ds.map_batches(
-        block_edges, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    edges.sort(key=lambda r: tuple(r[c] for c in sort_cols))
+    def walk(blocks: List[dict]) -> list:
+        carries, running, prev_key = [], [], None
+        for b in blocks:
+            continues = b["first_key"] == prev_key
+            carries.append(list(running) if continues else [])
+            tail = list(b["tail"])
+            if continues and b["single_run"]:
+                running = (running + tail)[-k_carry:]
+            else:
+                running = tail
+            prev_key = b["last_key"]
+        return carries
 
-    carries = {}
-    running: list = []
-    prev_last_key = None
-    for e in edges:
-        block_id = tuple(e[c] for c in sort_cols)
-        first_key = tuple(e[c] for c in key_cols)
-        last_key = tuple(e[f"__last_{c}"] for c in key_cols)
-        carries[block_id] = list(running) if first_key == prev_last_key else []
-        tail = list(e["tail"])
-        if first_key == last_key and first_key == prev_last_key:
-            running = (running + tail)[-k_carry:]
-        else:
-            running = tail
-        prev_last_key = last_key
-    carry_ref = ray.put(carries)
-
-    def med(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.nulls(0, out_type))
-        n = batch.num_rows
-        starts = _run_starts_impl(batch, key_cols)
+    def apply(block: pa.Table, starts: np.ndarray, carry) -> pa.Table:
+        n = block.num_rows
         lengths = np.diff(np.append(starts, n))
-        block_id = tuple(batch.column(c)[0].as_py() for c in sort_cols)
-        carry = np.asarray(ray.get(carry_ref)[block_id], np.float64)
+        carry = np.asarray(carry, np.float64)
         off = len(carry)
-        vals = (
-            batch.column(value_col)
-            .combine_chunks()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        ext = np.concatenate([carry, vals])
+        ext = np.concatenate([carry, np_col(block, value_col).astype(np.float64)])
         run_start_ext = np.repeat(starts + off, lengths)
         run_start_ext[: lengths[0]] = 0  # first run reaches into the carry
         eext = np.concatenate([np.full(window - 1, np.nan), ext])
@@ -952,9 +710,11 @@ def _grouped_rolling(
         out = reduce_fn(w)
         if pa.types.is_integer(out_type):
             out = out.astype(np.int64)
-        return batch.append_column(out_col, pa.array(out, out_type))
+        return block.append_column(out_col, pa.array(out, out_type))
 
-    return ds.map_batches(med, batch_format="pyarrow", batch_size=None)
+    return scan_sorted_blocks(
+        ds, key_cols, order_cols, lambda types: (summarize, walk, apply)
+    )
 
 
 def grouped_rolling_median(

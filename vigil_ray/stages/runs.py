@@ -1,16 +1,24 @@
 """Shared machinery for the sorted-adjacency operators: vectorized key-run
-detection over a sorted, pinned block, and :func:`reduce_sorted_runs`, the
-ONE implementation of the boundary-deferral protocol behind
-``dedup.sorted_bucket_pairs``, ``corpus.sorted_group_min`` and
-``corpus.sorted_group_agg`` (hence ``sorted_group_sum`` and the distinct
-pair reduce of the dedup operators). Kept in one place so the protocol's
-invariants (run = maximal equal-key span; only a block's first/last run can
-straddle a boundary) have a single definition.
+detection over a sorted, pinned block, and the two protocols built on it.
+
+- :func:`reduce_sorted_runs` is the ONE implementation of the
+  boundary-deferral protocol (one output row per key run) behind
+  ``dedup.sorted_bucket_pairs``, ``corpus.sorted_group_min`` and
+  ``corpus.sorted_group_agg`` (hence ``sorted_group_sum`` and the distinct
+  pair reduce of the dedup operators).
+- :func:`scan_sorted_blocks` is the ONE implementation of the block-carry
+  scan (one output value per row, threaded across block boundaries) behind
+  the window operators ``corpus.prefix_scan``, ``grouped_prefix_scan``,
+  ``grouped_fill_forward``, ``grouped_shift`` and the
+  ``grouped_rolling_*`` pair.
+
+Kept in one place so the invariants (run = maximal equal-key span; only a
+block's first/last run can straddle a boundary) have a single definition.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -98,3 +106,90 @@ def reduce_sorted_runs(
         interior_runs, batch_format="pyarrow", batch_size=None
     )
     return rd.from_arrow(merge(pa.concat_tables(tables))).union(inner)
+
+
+# summarize(block, starts) -> {name: 1-row array}; walk(summaries) -> one
+# carry per block; apply(block, starts, carry) -> block with its output
+BlockScan = Tuple[
+    Callable[[pa.Table, np.ndarray], Dict[str, pa.Array]],
+    Callable[[List[dict]], List[Any]],
+    Callable[[pa.Table, np.ndarray, Any], pa.Table],
+]
+
+
+def scan_sorted_blocks(
+    ds,
+    key_cols: Sequence[str],
+    order_cols: Sequence[str],
+    make_scan: Callable[[dict], BlockScan],
+):
+    """Sort ``ds`` by ``key_cols + order_cols`` and append a per-row window
+    result that threads a CARRY across block boundaries, with no per-key
+    state anywhere: after the sort each key's rows are contiguous, so only
+    a block's FIRST run can owe a carry to earlier blocks and only its LAST
+    run can lend one forward.
+
+    1. coalesce → sort → compact pins one block layout for both passes
+       (no empty blocks, so neither pass sees a 0-row block).
+    2. A summary pass reduces each block to ONE row: the block id (its
+       first row's sort tuple, in NATIVE types — a stringified key would
+       sort numeric ids lexicographically and corrupt the walk), the
+       first-run key, the last-run key, a single-run flag and the payload
+       ``summarize(block, starts)`` returns (``{name: 1-row array}``).
+    3. The driver collects the summaries once (block-count-sized, never
+       row-sized), sorts them by block id and calls ``walk(summaries)``:
+       each summary is a dict of the payload plus ``first_key``,
+       ``last_key`` (tuples) and ``single_run``; the walk returns one carry
+       per block, in that order. The carries are broadcast once.
+    4. A second pass over the same blocks returns
+       ``apply(block, starts, carry)``.
+
+    ``starts`` are the block's run starts (:func:`run_starts`; with no
+    ``key_cols`` the whole block is one run). ``make_scan(types)`` is
+    called once on the driver with the sorted schema's ``{column: type}``
+    (empty when the schema is unknown) and returns ``(summarize, walk,
+    apply)``.
+
+    Precondition: ``key_cols + order_cols`` is row-unique, because blocks
+    are identified by their first row's sort tuple.
+    """
+    import ray
+
+    from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
+
+    key_cols = list(key_cols)
+    sort_cols = key_cols + list(order_cols)
+    nk = len(key_cols)
+    ds = compact_blocks(coalesce_blocks(ds).sort(sort_cols))
+    schema = ds.schema()
+    types = dict(zip(schema.names, schema.types)) if schema is not None else {}
+    summarize, walk, apply = make_scan(types)
+
+    def summary(block: pa.Table) -> pa.Table:
+        starts = run_starts(block, key_cols)
+        last = int(starts[-1])
+        cols = {f"__id{i}": block.column(c).slice(0, 1) for i, c in enumerate(sort_cols)}
+        for i, c in enumerate(key_cols):
+            cols[f"__last{i}"] = block.column(c).slice(last, 1)
+        cols["__single"] = pa.array([len(starts) == 1])
+        cols.update(summarize(block, starts))
+        return pa.table(cols)
+
+    blocks = []
+    for r in ds.map_batches(summary, batch_format="pyarrow", batch_size=None).take_all():
+        r = dict(r)
+        block_id = tuple(r.pop(f"__id{i}") for i in range(len(sort_cols)))
+        r["first_key"] = block_id[:nk]
+        r["last_key"] = tuple(r.pop(f"__last{i}") for i in range(nk))
+        r["single_run"] = r.pop("__single")
+        blocks.append((block_id, r))
+    blocks.sort(key=lambda b: b[0])
+    carries = walk([r for _, r in blocks])
+    carry_ref = ray.put({block_id: c for (block_id, _), c in zip(blocks, carries)})
+
+    def scan(block: pa.Table) -> pa.Table:
+        block_id = tuple(block.column(c)[0].as_py() for c in sort_cols)
+        carry = ray.get(carry_ref)[block_id]
+        return apply(block, run_starts(block, key_cols), carry)
+
+    return ds.map_batches(scan, batch_format="pyarrow", batch_size=None)

@@ -36,7 +36,7 @@ def sessionize(ds, gap_minutes: int = 30):
     import ray.data as rd
 
     from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    from vigil_ray.stages.runs import run_starts
 
     gap_us = gap_minutes * 60_000_000
 
@@ -50,24 +50,9 @@ def sessionize(ds, gap_minutes: int = 30):
     ds_sorted = compact_blocks(coalesce_blocks(base).sort(["user_id", "ts_us"]))
 
     def block_stats(batch: pa.Table) -> pa.Table:
-        utype = batch.column("user_id").type
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.nulls(0, utype),
-                    "k": pa.nulls(0, pa.int64()),
-                    "ne": pa.nulls(0, pa.int64()),
-                    "mx": pa.nulls(0, pa.int64()),
-                    "head": pa.nulls(0, pa.int64()),
-                    "tail": pa.nulls(0, pa.int64()),
-                    "first_ts": pa.nulls(0, pa.int64()),
-                    "last_ts": pa.nulls(0, pa.int64()),
-                    "is_frag": pa.nulls(0, pa.bool_()),
-                }
-            )
         ts = batch.column("ts_us").combine_chunks().to_numpy(zero_copy_only=False)
         n = batch.num_rows
-        starts = _run_starts_impl(batch, ["user_id"])
+        starts = run_starts(batch, ["user_id"])
         sess_start = np.empty(n, dtype=bool)
         sess_start[0] = True
         sess_start[1:] = (ts[1:] - ts[:-1]) > gap_us
@@ -184,7 +169,7 @@ def funnel_counts(ds, stages_types, user_col: str = "user_id", ts_col: str = "ts
     import pyarrow.compute as pc
 
     from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
-    from vigil_ray.stages.runs import run_starts as _run_starts_impl
+    from vigil_ray.stages.runs import run_starts
 
     K = len(stages_types)
     stage_arr = pa.array(list(stages_types), pa.string())
@@ -230,27 +215,11 @@ def funnel_counts(ds, stages_types, user_col: str = "user_id", ts_col: str = "ts
         for tie in (0, 1)
     ]
 
-    def _empty(utype):
-        cols = {
-            "is_frag": pa.array([], pa.bool_()),
-            user_col: pa.nulls(0, utype),
-            "first_ts": pa.nulls(0, pa.int64()),
-            "first_code": pa.nulls(0, pa.int64()),
-        }
-        for sc, cc in frag_cols:
-            cols[sc] = pa.nulls(0, pa.int64())
-            cols[cc] = pa.nulls(0, pa.int64())
-        for s in range(K):
-            cols[f"cnt_{s}"] = pa.nulls(0, pa.int64())
-        return pa.table(cols)
-
     def block_stats(batch: pa.Table) -> pa.Table:
         utype = batch.column(user_col).type
-        if batch.num_rows == 0:
-            return _empty(utype)
         ts = batch.column("ts_us").combine_chunks().to_numpy(zero_copy_only=False)
         code = batch.column("code").combine_chunks().to_numpy(zero_copy_only=False)
-        starts = _run_starts_impl(batch, [user_col])
+        starts = run_starts(batch, [user_col])
         ends = list(starts[1:]) + [batch.num_rows]
         nruns = len(starts)
         reached = [0] * K

@@ -76,12 +76,6 @@ def sorted_attach(
         return starts, lens, sums
 
     def boundary(batch: pa.Table) -> pa.Table:
-        cols: dict = {c: pa.array([], batch.column(c).type) for c in key_cols}
-        cols["__n"] = pa.array([], pa.int64())
-        for c in sum_cols:
-            cols[f"__s_{c}"] = pa.array([], pa.int64())
-        if batch.num_rows == 0:
-            return pa.table(cols)
         starts, lens, sums = _partials(batch)
         idx = _edge_idx(len(starts))
         out = {
@@ -110,14 +104,6 @@ def sorted_attach(
             acc[1 + j] += r[f"__s_{c}"]
 
     def fill(batch: pa.Table) -> pa.Table:
-        out_names = ([count_name] if count_name else []) + [
-            f"{c}_sum" for c in sum_cols
-        ]
-        if batch.num_rows == 0:
-            t = batch
-            for n in out_names:
-                t = t.append_column(n, pa.array([], pa.int64()))
-            return t
         starts, lens, sums = _partials(batch)
         run_n = lens.astype(np.int64)
         run_sums = [s.astype(np.int64) for s in sums]
@@ -207,12 +193,6 @@ def sorted_lookup_join(
 
     # --- boundary pass: each block's first/last run key + value-if-known ---
     def boundary(batch: pa.Table) -> pa.Table:
-        cols: dict = {c: pa.array([], lk_types.get(c, row_types.get(c))) for c in key_cols}
-        for c in value_cols:
-            cols[c] = pa.array([], lk_types[c])
-        cols["__known"] = pa.array([], pa.bool_())
-        if batch.num_rows == 0:
-            return pa.table(cols)
         src = np_col(batch, "__src")
         starts = run_starts(batch, key_cols)
         idx = _edge_idx(len(starts))
@@ -249,13 +229,6 @@ def sorted_lookup_join(
     out_cols = key_cols + payload_cols + value_cols
 
     def fill(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    c: pa.array([], row_types.get(c, lk_types.get(c)))
-                    for c in out_cols
-                }
-            )
         src = np_col(batch, "__src")
         starts = run_starts(batch, key_cols)
         lens = np.diff(np.append(starts, batch.num_rows))
