@@ -1482,32 +1482,62 @@ def _run_on_empty(op, ds):
     raise KeyError(op)
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize(
-    "op",
-    [
-        "prefix_scan_sum",
-        "prefix_scan_rank",
-        "prefix_scan_max",
-        "grouped_prefix_scan",
-        "grouped_fill_forward",
-        "grouped_shift_lag",
-        "grouped_shift_lead",
-        "grouped_rolling_median",
-        "grouped_rolling_sum",
-        "sorted_attach",
-        "sorted_lookup_join",
-        "sessionize",
-        "funnel_counts",
-    ],
-)
-def test_sorted_block_operators_on_empty_input(op):
-    """Every sorted-block operator handles an input filtered to zero rows:
-    0 rows out (funnel: every stage count 0), no exception."""
+_EMPTY_INPUT_OPS = [
+    "prefix_scan_sum",
+    "prefix_scan_rank",
+    "prefix_scan_max",
+    "grouped_prefix_scan",
+    "grouped_fill_forward",
+    "grouped_shift_lag",
+    "grouped_shift_lead",
+    "grouped_rolling_median",
+    "grouped_rolling_sum",
+    "sorted_attach",
+    "sorted_lookup_join",
+    "sessionize",
+    "funnel_counts",
+]
+
+
+def _check_empty(op, make_input):
     from vigil_ray.stages.sessions import funnel_counts
 
     if op == "funnel_counts":
-        out = funnel_counts(_empty_events(), ("signup", "click", "purchase"))
+        out = funnel_counts(make_input(), ("signup", "click", "purchase"))
         assert out.column("n_users").to_pylist() == [0, 0, 0]
     else:
-        assert _run_on_empty(op, _empty_events()).count() == 0
+        assert _run_on_empty(op, make_input()).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("op", _EMPTY_INPUT_OPS)
+def test_sorted_block_operators_on_empty_input(op):
+    """Every sorted-block operator handles an input filtered to zero rows:
+    0 rows out (funnel: every stage count 0), no exception."""
+    _check_empty(op, _empty_events)
+
+
+def _row_filtered_empty_events():
+    """Zero rows of unknown schema: a row-function filter that keeps
+    nothing leaves no block with a schema, so ``schema()`` is None."""
+    return _empty_events().filter(lambda r: False)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("op", _EMPTY_INPUT_OPS)
+def test_sorted_block_operators_on_empty_input_of_unknown_schema(op):
+    """The same operators on zero rows whose schema is unknown: 0 rows out,
+    no exception."""
+    assert _row_filtered_empty_events().schema() is None
+    _check_empty(op, _row_filtered_empty_events)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sorted_lookup_join_unknown_lookup_schema_raises():
+    import ray.data as rd
+
+    from vigil_ray.stages.sortmerge import sorted_lookup_join
+
+    rows = rd.from_items([{"user_id": 1, "v": 2.0}])
+    with pytest.raises(ValueError, match="lookup_ds has no known schema"):
+        sorted_lookup_join(rows, _row_filtered_empty_events(), ["user_id"])

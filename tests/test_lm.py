@@ -147,7 +147,7 @@ class TestSegmentScoringDifferential:
             norm = " ".join(text.split()).lower()
             if not norm:
                 return
-            assert lm._score_segments(norm) == lm._score_scalar(norm), norm
+            assert lm._score_segments(norm.split(" ")) == lm._score_scalar(norm), norm
 
         check()
 
@@ -165,7 +165,7 @@ class TestSegmentScoringDifferential:
             norm = " ".join(text.split()).lower()
             if not norm:
                 return
-            assert lm._score_segments(norm) == lm._score_scalar(norm), repr(norm)
+            assert lm._score_segments(norm.split(" ")) == lm._score_scalar(norm), repr(norm)
 
         check()
 

@@ -1,6 +1,8 @@
 """Unit tests for the north-rule quality kernels: langid, Gopher/C4 features,
 char-LM perplexity, HTML extraction, text stats."""
 
+import re
+
 from vigil_ray.config import QualityConfig
 from vigil_ray.kernel.html import extract_text, wrap_text
 from vigil_ray.kernel.langid import classify
@@ -240,17 +242,22 @@ class TestClassifyMaskDifferential:
 
 
 class TestWordProfileMemo:
-    """_word_profile memo ≡ the inline lower()/_ALPHA.search spec, and the
-    quality_features wiring over it stays identical to a memo-free rerun."""
+    """kernel.words' memoized entry ≡ the inline lower()/len/letter-search
+    spec, and the quality_features wiring over it stays identical to a
+    memo-free rerun. (The entry's stopword and toxic fields are pinned in
+    tests/test_words.py.)"""
+
+    _ALPHA = re.compile(r"[^\W\d_]")
 
     def test_profile_matches_spec(self):
-        from vigil_ray.kernel.quality import _ALPHA, _word_profile
+        from vigil_ray.kernel.words import words_of
 
         for w in [
             "word", "WORD", "Déjà", "123", "_", "a1", "１２３", "İ", "ı",
-            "ſ", "", "x_y", "²", "①", "…", "ΑΣ", "ΟΣ", "ς",
+            "ſ", "x_y", "²", "①", "…", "ΑΣ", "ΟΣ", "ς",
         ]:
-            assert _word_profile(w) == (w.lower(), _ALPHA.search(w) is not None), w
+            (entry,) = words_of(w)
+            assert entry[:3] == (w.lower(), len(w), self._ALPHA.search(w) is not None), w
 
     def test_quality_features_equal_memo_free(self):
         from hypothesis import given, settings
@@ -273,7 +280,7 @@ class TestWordProfileMemo:
             words = text.split()
             lowered = [w.lower() for w in words]
             assert got["alpha_word_frac"] == (
-                round(sum(1 for w in words if Q._ALPHA.search(w)) / len(words), 6)
+                round(sum(1 for w in words if self._ALPHA.search(w)) / len(words), 6)
                 if words else 0.0
             ), text
             assert got["has_stopword"] == (not Q._STOP_PROBE.isdisjoint(lowered)), text
@@ -285,17 +292,17 @@ class TestWordProfileMemo:
         check()
 
     def test_memo_cap_respected(self):
-        from vigil_ray.kernel import quality as Q
+        from vigil_ray.kernel import words as W
 
-        old_cap = Q._WORD_MEMO_CAP
+        old_cap = W._WORD_MEMO_CAP
         try:
-            Q._WORD_MEMO_CAP = len(Q._WORD_MEMO)  # full → no inserts
-            before = len(Q._WORD_MEMO)
-            w = "never-seen-word-%d" % before
-            assert Q._word_profile(w) == (w.lower(), True)
-            assert len(Q._WORD_MEMO) == before
+            W._WORD_MEMO_CAP = len(W._WORD_MEMO)  # full → no inserts
+            before = len(W._WORD_MEMO)
+            w = "Never-seen-word-%d" % before
+            assert W.words_of(w)[0][:3] == (w.lower(), len(w), True)
+            assert len(W._WORD_MEMO) == before
         finally:
-            Q._WORD_MEMO_CAP = old_cap
+            W._WORD_MEMO_CAP = old_cap
 
 
 class TestNgramFracDifferential:

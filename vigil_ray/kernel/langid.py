@@ -5,17 +5,22 @@ A deterministic, dependency-free scorer in the spirit of fastText langid
 whitespace tokens and (b) character-class signals (CJK, hiragana/katakana,
 Cyrillic, language-specific diacritics). Supported: en pt es de fr it zh ja ru.
 
-The real model would be hosted exactly the same way — a stateful actor-pool
-``map_batches`` stage with the model loaded once per actor (see
-``vigil_ray.stages.quality``); the scoring function here is the deterministic
-CI substitute, as the reference's own degrade-to-heuristic policy models
-(reference src/detector.py:95-106).
+A real model would be loaded once per worker process, like
+``kernel.perplexity.default_model``, and called from the per-document map
+(``vigil_ray.stages.document``); the scoring function here is the
+deterministic CI substitute, as the reference's own degrade-to-heuristic
+policy models (reference src/detector.py:95-106).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Tuple
+from collections import Counter
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from vigil_ray.kernel.words import Word
 
 _WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -61,9 +66,9 @@ STOPWORDS: Dict[str, frozenset] = {
 }
 
 # merged stopword table: token → tuple of language indexes claiming it (a
-# token like "de" belongs to several). Built once at import; lets classify()
-# do ONE dict probe per token instead of one set-membership pass per language
-# (tuple iteration measured ~40% faster than a bitmask bit-loop here).
+# token like "de" belongs to several). Built once at import; kernel.words
+# probes it once per token when it first sees a word, so classify() only
+# counts the languages its words already carry.
 _LANGS = tuple(STOPWORDS)
 _TOKEN_LANGS: Dict[str, tuple] = {}
 for _li, _lang in enumerate(_LANGS):
@@ -81,11 +86,13 @@ _CYRILLIC = re.compile(r"[Ѐ-ӿ]")
 _ANY_SCRIPT = re.compile(r"[一-鿿぀-ヿЀ-ӿ]")
 
 
-def classify(text: str) -> Tuple[str, float]:
+def classify(text: str, words: Optional[List[Word]] = None) -> Tuple[str, float]:
     """Return ``(lang_pred, lang_score)``; ``("und", 0.0)`` for empty input.
 
     Score is in [0,1]: for script-based languages the matching-char fraction,
-    for Latin-script languages the best stopword hit-rate.
+    for Latin-script languages the best stopword hit-rate over the
+    ``[^\\W\\d_]+`` tokens. ``words`` is ``kernel.words.words_of(text)``
+    when the caller already has it.
     """
     if not text:
         return ("und", 0.0)
@@ -101,23 +108,17 @@ def classify(text: str) -> Tuple[str, float]:
         if cyr / n_chars > 0.25:
             return ("ru", round(cyr / n_chars, 4))
 
-    tokens = [t.lower() for t in _WORD.findall(text)]
-    if not tokens:
+    # imported here: kernel.words imports this module's tables
+    from vigil_ray.kernel.words import N_RUNS, STOP_LANGS, words_of
+
+    if words is None:
+        words = words_of(text)
+    # every word carries its tokens' stopword languages: counting them is
+    # one C-level pass over the page's words, with no probe per token
+    hits = Counter(chain.from_iterable(map(STOP_LANGS, words)))
+    if not hits:
         return ("und", 0.0)
-    # one dict probe per token against the merged stopword→languages table
-    # instead of |languages| set-membership passes (9× fewer lookups;
-    # tie-break identical: first language in STOPWORDS order wins, which is
-    # exactly what the strictly-greater comparison of the per-language loop
-    # produced). Pinned by the classify differential in tests/test_quality.py.
-    counts = [0] * len(_LANGS)
-    get = _TOKEN_LANGS.get
-    for t in tokens:
-        m = get(t)
-        if m:
-            for li in m:
-                counts[li] += 1
-    best_hits = max(counts)
-    if best_hits == 0:
-        return ("und", 0.0)
-    best_lang = _LANGS[counts.index(best_hits)]
-    return (best_lang, round(best_hits / len(tokens), 4))
+    best_hits = max(hits.values())
+    # tie-break: the first language in STOPWORDS order
+    best = min(li for li, c in hits.items() if c == best_hits)
+    return (_LANGS[best], round(best_hits / sum(map(N_RUNS, words)), 4))

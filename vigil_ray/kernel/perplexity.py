@@ -4,9 +4,10 @@ CCNet/Gopher pipelines score documents with a 5-gram KenLM model; the binary
 model and its training corpus are unavailable here, so this module implements
 the same *shape* of scorer from scratch: an interpolated character n-gram
 language model (orders 1..N, Jelinek-Mercer interpolation with add-k floor)
-trained once from an embedded seed corpus. Training happens in ``__init__`` of
-the hosting actor (``vigil_ray.stages.quality.PerplexityScorer``) — once per
-actor, never per batch — exactly how a real KenLM load would be hosted.
+trained once from an embedded seed corpus. :func:`default_model` trains it
+once per worker process, never per batch, where a real KenLM model would be
+loaded; the per-document map (``vigil_ray.stages.document``) scores every
+page with that instance.
 
 Deterministic: fixed corpus, fixed weights, no RNG.
 """
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Dict, List, Optional
 
-import numpy as np
-from typing import Dict, List
+from vigil_ray.kernel.words import LOWER, Word, words_of
 
 # Seed text: plain descriptive English + Portuguese prose (authored here, no
 # external data) — enough to separate "natural language" from gibberish or
@@ -98,73 +99,67 @@ class CharLM:
             p += _LAMBDAS[n - 1] * (num / den)
         return p
 
-    def score(self, text: str) -> float:
+    def score(self, text: str, words: Optional[List[Word]] = None) -> float:
         """Per-character perplexity of ``text`` under the model; 0.0 for empty.
 
-        Scalar dict-memo path: on this class's small models a per-char dict
-        hit beats numpy vectorization (np.unique sorts cost ~550 ns/element
-        on weak-memory virtualized hosts, measured), so the scalar form is
-        the default; :meth:`score_many` offers the batch-vectorized variant
-        (identical per-gram log-probs) for hosts where sorting is cheap.
+        The text scored is ``" ".join(text.split()).lower()``: its words
+        lowered, one space between them. ``words`` is
+        ``kernel.words.words_of(text)`` when the caller already has it.
         """
-        if not text:
+        if words is None:
+            words = words_of(text)
+        if not words:
             return 0.0
-        norm = " ".join(text.split()).lower()
-        if not norm:
-            return 0.0
-        return self._score_segments(norm)
+        return self._score_segments(list(map(LOWER, words)))
 
-    def _score_segments(self, norm: str) -> float:
-        """Word-segment-memoized scoring of pre-normalized text.
+    def _score_segments(self, words: List[str]) -> float:
+        """Word-segment-memoized scoring of the space-joined lowered ``words``.
 
         Partitions the padded gram stream into (left-context, word,
         trailing-space) segments — the grams inside a segment depend only on
         the word's characters and the exact ``order-1`` characters before it,
         so a (ctx, word, trail) key is a sound memo key even when the context
         spans several short preceding words. Bit-identical to
-        :meth:`_score_scalar` (same lp sequence, same summation order);
-        ~1.6× faster on natural text where words repeat across documents.
+        :meth:`_score_scalar` of the joined text (same lp sequence, same
+        summation order); ~1.6× faster on natural text where words repeat
+        across documents.
         """
-        o = self.order
-        seq = ("~" * (o - 1)) + norm
-        words = norm.split(" ")
-        memo = self._memo
-        seg_memo = self._seg_memo
+        get = self._seg_memo.get
         lps: list = []
         ext = lps.extend
-        log = math.log
-        prob = self._prob
-        pos = o - 1
-        ctx = "~" * (o - 1)
-        last = len(words) - 1
-        for wi, w in enumerate(words):
-            trail = wi != last
-            key = (ctx, w, trail)
-            entry = seg_memo.get(key)
-            if entry is None:
-                vals = []
-                for j in range(len(w) + (1 if trail else 0)):
-                    i = pos + j
-                    g = seq[i - o + 1 : i + 1]
-                    lp = memo.get(g)
-                    if lp is None:
-                        lp = log(prob(g[:-1], g[-1]))
-                        if len(memo) < self._memo_cap:
-                            memo[g] = lp
-                    vals.append(lp)
-                entry = (
-                    tuple(vals),
-                    (ctx + ((w + " ") if trail else w))[-(o - 1):],
-                )
-                if len(seg_memo) < self._seg_memo_cap:
-                    seg_memo[key] = entry
-            ext(entry[0])
-            ctx = entry[1]
-            pos += len(w) + 1
+        ctx = "~" * (self.order - 1)
+        # a memo entry is a non-empty tuple, so `or` segments only on a miss
+        for w in words[:-1]:  # every word but the last has a trailing space
+            vals, ctx = get((ctx, w, True)) or self._segment(ctx, w, True)
+            ext(vals)
+        vals, _ = get((ctx, words[-1], False)) or self._segment(ctx, words[-1], False)
+        ext(vals)
         return round(math.exp(-sum(lps) / len(lps)), 4)
 
+    def _segment(self, ctx: str, w: str, trail: bool) -> tuple:
+        """The (per-gram log-probs, next left context) memo entry of word
+        ``w`` after left context ``ctx``: a gram per char of ``w`` (and of
+        its trailing space), each with the ``order-1`` chars before it."""
+        o = self.order
+        seg = ctx + w + " " if trail else ctx + w
+        memo = self._memo
+        vals = []
+        for j in range(len(seg) - o + 1):
+            g = seg[j : j + o]
+            lp = memo.get(g)
+            if lp is None:
+                lp = math.log(self._prob(g[:-1], g[-1]))
+                if len(memo) < self._memo_cap:
+                    memo[g] = lp
+            vals.append(lp)
+        entry = (tuple(vals), seg[-(o - 1):])
+        if len(self._seg_memo) < self._seg_memo_cap:
+            self._seg_memo[(ctx, w, trail)] = entry
+        return entry
+
     def _score_scalar(self, norm: str) -> float:
-        """Dict-memo scalar scoring of pre-normalized text.
+        """Dict-memo scalar scoring of pre-normalized text: the per-char
+        spec :meth:`_score_segments` is pinned to (tests/test_lm.py).
 
         The hot path is C-speed end to end: one slice comprehension builds
         the gram list, ``map(memo.get, grams)`` resolves the (overwhelmingly
@@ -192,101 +187,6 @@ class CharLM:
                             memo[g] = lp
                     lps[j] = lp
         return round(math.exp(-sum(lps) / len(lps)), 4)
-
-    # fixed id base: gram codes must be stable across batches (a growing base
-    # would re-code old grams and collide the memo). K**order must fit int64.
-    _K = 1 << 15
-
-    def score_many(self, texts: List[str]) -> List[float]:
-        """Batch scoring with cross-document gram sharing.
-
-        Gram log-probs are computed once per *batch-unique* gram (one
-        ``np.unique`` over integer gram codes per batch) and memoized across
-        batches, so the Python interpolation chain runs per novel gram, not
-        per character. Numerically identical to the scalar path (same
-        per-gram log-probs, float64 summation).
-        """
-        if not hasattr(self, "_char_ids"):
-            self._char_ids: Dict[str, int] = {}
-            self._vec_memo: Dict[int, float] = {}
-
-        order = self.order
-        pad = "~" * (order - 1)
-        K = self._K
-        cid = self._char_ids
-
-        seqs = []          # (result_index, ids ndarray)
-        out = [0.0] * len(texts)
-        overflow = []      # result_index of docs needing the scalar fallback
-        norms = {}
-        for r, t in enumerate(texts):
-            norm = " ".join(t.split()).lower() if t else ""
-            if not norm:
-                continue
-            norms[r] = norm
-            seq = pad + norm
-            ids = np.empty(len(seq), dtype=np.int64)
-            ok = True
-            for i, ch in enumerate(seq):
-                code = cid.get(ch)
-                if code is None:
-                    if len(cid) >= K:
-                        ok = False
-                        break
-                    code = len(cid)
-                    cid[ch] = code
-                ids[i] = code
-            if ok:
-                seqs.append((r, ids))
-            else:
-                overflow.append(r)
-        for r in overflow:
-            out[r] = self._score_scalar(norms[r])
-        if not seqs:
-            return out
-
-        gram_codes = []
-        for _, ids in seqs:
-            n = len(ids) - order + 1
-            code = ids[:n].copy()
-            for j in range(1, order):
-                code = code * K + ids[j : n + j]
-            gram_codes.append(code)
-        all_codes = np.concatenate(gram_codes)
-        uniq, inverse = np.unique(all_codes, return_inverse=True)
-
-        memo = self._vec_memo
-        id_char = {v: k for k, v in cid.items()}
-        logs = np.empty(len(uniq), dtype=np.float64)
-        for u in range(len(uniq)):
-            code = int(uniq[u])
-            lp = memo.get(code)
-            if lp is None:
-                chars = []
-                c = code
-                for _ in range(order):
-                    chars.append(id_char[c % K])
-                    c //= K
-                gram = "".join(reversed(chars))
-                lp = math.log(self._prob(gram[:-1], gram[-1]))
-                if len(memo) < self._memo_cap:
-                    memo[code] = lp
-            logs[u] = lp
-
-        per_gram = logs[inverse]
-        pos = 0
-        for (r, ids), codes in zip(seqs, gram_codes):
-            n = len(codes)
-            chunk = per_gram[pos : pos + n]
-            # sequential left-to-right accumulation, SAME float-add order as
-            # _score_scalar — numpy's pairwise sum could differ in the last
-            # ulp and flip a round(...,4) boundary between the two paths
-            s = 0.0
-            for v in chunk:
-                s += float(v)
-            out[r] = round(math.exp(-s / n), 4)
-            pos += n
-        return out
 
 
 _cached: Dict[int, CharLM] = {}

@@ -15,30 +15,11 @@ evaluate both here and in an SQL oracle (where expressible).
 
 from __future__ import annotations
 
-import re
 from collections import Counter
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from vigil_ray.config import QualityConfig
-
-_WS = re.compile(r"\s+")
-_ALPHA = re.compile(r"[^\W\d_]", re.UNICODE)
-
-# word → (word.lower(), _ALPHA.search(word) is not None): both are pure
-# per-word functions and natural text repeats words heavily, so one dict probe
-# replaces a lower() + regex search per word (~0.4 µs → ~0.04 µs). Capped like
-# the CharLM memos (perplexity.py); differential-pinned in tests/test_quality.py.
-_WORD_MEMO: Dict[str, Tuple[str, bool]] = {}
-_WORD_MEMO_CAP = 1_000_000
-
-
-def _word_profile(w: str) -> Tuple[str, bool]:
-    e = _WORD_MEMO.get(w)
-    if e is None:
-        e = (w.lower(), _ALPHA.search(w) is not None)
-        if len(_WORD_MEMO) < _WORD_MEMO_CAP:
-            _WORD_MEMO[w] = e
-    return e
+from vigil_ray.kernel.words import HAS_ALPHA, LENGTH, LOWER, Word, words_of
 
 # C4-style minimal English/Portuguese stopword probe
 _STOP_PROBE = frozenset(
@@ -46,36 +27,34 @@ _STOP_PROBE = frozenset(
 )
 
 
-def quality_features(text: str) -> Dict[str, Any]:
-    """Numeric quality profile of one document."""
-    if not text or not text.strip():
-        return {
-            "n_chars": 0,
-            "n_words": 0,
-            "mean_word_len": 0.0,
-            "symbol_to_word_ratio": 0.0,
-            "alpha_word_frac": 0.0,
-            "dup_line_frac": 0.0,
-            "top2gram_frac": 0.0,
-            "top3gram_frac": 0.0,
-            "dup5gram_frac": 0.0,
-            "has_stopword": False,
-        }
-    # str.split() == regex \s+ split of the stripped text, in C
-    words = text.split()
+_EMPTY_FEATURES = {
+    "n_chars": 0,
+    "n_words": 0,
+    "mean_word_len": 0.0,
+    "symbol_to_word_ratio": 0.0,
+    "alpha_word_frac": 0.0,
+    "dup_line_frac": 0.0,
+    "top2gram_frac": 0.0,
+    "top3gram_frac": 0.0,
+    "dup5gram_frac": 0.0,
+    "has_stopword": False,
+}
+
+
+def quality_features(text: str, words: Optional[List[Word]] = None) -> Dict[str, Any]:
+    """Numeric quality profile of one document. ``words`` is
+    ``kernel.words.words_of(text)`` when the caller already has it."""
+    if words is None:
+        words = words_of(text)
+    if not words:  # empty or whitespace-only text
+        return dict(_EMPTY_FEATURES)
     n_words = len(words)
-    word_lens = [len(w) for w in words]
+    word_lens = list(map(LENGTH, words))
     total_word_chars = sum(word_lens)
+    lowered = list(map(LOWER, words))
+    n_alpha_words = sum(map(HAS_ALPHA, words))
     # non-overlapping counts equal the regex scan: '#' is never part of '...'
     n_symbols = text.count("#") + text.count("...") + text.count("…")
-    # inline memo probe: split() never yields "", so every cached profile is a
-    # truthy 2-tuple and `or` falls through to the builder only on misses.
-    # zip(*profiles) transposes in C (words is non-empty here); summing the
-    # bool column counts alpha words identically to the conditional genexpr.
-    _get = _WORD_MEMO.get
-    profiles = [_get(w) or _word_profile(w) for w in words]
-    lowered, alpha = zip(*profiles)
-    n_alpha_words = sum(alpha)
 
     dup_line_frac = 0.0
     if "\n" in text:
@@ -92,7 +71,7 @@ def quality_features(text: str) -> Dict[str, Any]:
     # documents measured; differential-pinned against the unconditional
     # spec in tests/test_quality.py).
     top2 = _top_ngram_char_frac(lowered, 2, total_word_chars)
-    if top2 == 0.0 and total_word_chars:
+    if top2 == 0.0:
         top3 = dup5 = 0.0
     else:
         top3 = _top_ngram_char_frac(lowered, 3, total_word_chars)
@@ -101,9 +80,9 @@ def quality_features(text: str) -> Dict[str, Any]:
     return {
         "n_chars": len(text),
         "n_words": n_words,
-        "mean_word_len": round(total_word_chars / n_words, 6) if n_words else 0.0,
-        "symbol_to_word_ratio": round(n_symbols / n_words, 6) if n_words else 0.0,
-        "alpha_word_frac": round(n_alpha_words / n_words, 6) if n_words else 0.0,
+        "mean_word_len": round(total_word_chars / n_words, 6),
+        "symbol_to_word_ratio": round(n_symbols / n_words, 6),
+        "alpha_word_frac": round(n_alpha_words / n_words, 6),
         "dup_line_frac": round(dup_line_frac, 6),
         "top2gram_frac": top2,
         "top3gram_frac": top3,

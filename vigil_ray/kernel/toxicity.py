@@ -2,12 +2,11 @@
 
 The reference engine has no toxicity component; BASELINE.json's north_star
 names "PII/toxicity scrub" explicitly, so this module supplies the scoring
-kernel the Ray stage hosts. Real deployments would load a classifier
-(Detoxify/Perspective-style) in the actor's ``__init__``; the container has no
-model weights, so the scorer is a deterministic token-list match — the hosting
-shape (state built once per actor, batches scored vectorized-per-row) is
-identical, and the by-construction oracle in ``vigil_ray.queries`` can verify
-it exactly.
+kernel of the per-document map's ``toxicity`` part
+(``vigil_ray.stages.document``). A real deployment would load a classifier
+(Detoxify/Perspective-style) once per worker process; there are no model
+weights here, so the scorer is a deterministic token-list match that the
+by-construction oracle in ``vigil_ray.queries`` can verify exactly.
 
 Semantics:
 
@@ -23,7 +22,10 @@ Semantics:
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from vigil_ray.kernel.words import Word
 
 # Mild, fixed EN+PT abuse vocabulary. Deterministic stand-in for a toxicity
 # model's decision boundary; single lowercase word forms only.
@@ -75,15 +77,20 @@ def toxic_spans(text: str) -> List[Tuple[int, int, str]]:
 
 
 def score_toxicity(
-    text: str, min_hits: int = 2, min_ratio: float = 0.1
+    text: str, min_hits: int = 2, min_ratio: float = 0.1, words: Optional[List[Word]] = None
 ) -> Tuple[int, float, bool]:
-    """``(n_tox, tox_ratio, is_toxic)`` for one document."""
-    spans = toxic_spans(text)
-    n_tox = len(spans)
+    """``(n_tox, tox_ratio, is_toxic)`` for one document: ``n_tox`` toxic
+    tokens over the whitespace words. ``words`` is
+    ``kernel.words.words_of(text)`` when the caller already has it."""
+    # imported here: kernel.words imports TOXIC_TERMS and _WORD
+    from vigil_ray.kernel.words import N_TOXIC, words_of
+
+    if words is None:
+        words = words_of(text)
+    n_tox = sum(map(N_TOXIC, words))
     if n_tox == 0:
         return 0, 0.0, False
-    n_words = len(text.split())
-    ratio = round(n_tox / n_words, 6) if n_words else 0.0
+    ratio = round(n_tox / len(words), 6)
     return n_tox, ratio, (n_tox >= min_hits or ratio >= min_ratio)
 
 

@@ -31,6 +31,15 @@ on one page before moving to the next was measured 15% slower on short pages
 (1.49 → 1.73 s per 4096 pages, in process), because each kernel's memos and
 compiled patterns fall out of the CPU caches between its calls.
 
+The quality part splits each page into whitespace words once
+(``kernel.words.words_of``, one memoized entry per word) and hands that one
+list to perplexity, the features, language ID and, when the toxicity part
+runs, the toxicity score, which it passes on as one small tuple per page.
+The list lives for its page only, so no batch-wide word lists build up. A
+map without the quality part (``PiiDetectScrub(apply_toxicity=True)``, the
+``pages_toxicity`` query) splits in the toxicity part, through the same
+function.
+
 A poison page never fails its task: each part isolates every page's
 kernels, so one bad page costs its own columns, not the batch.
 
@@ -56,6 +65,7 @@ from vigil_ray.kernel.langid import classify
 from vigil_ray.kernel.perplexity import default_model
 from vigil_ray.kernel.quality import quality_features, quality_rules
 from vigil_ray.kernel.toxicity import score_toxicity, scrub_toxic
+from vigil_ray.kernel.words import words_of
 
 PARTS = ("extract", "quality", "detect", "toxicity")
 QUALITY_ERROR = "quality_error"  # drop reason of a page whose quality kernels raised
@@ -155,8 +165,9 @@ class DocumentOp:
             cols[cfg.text_column], cols["extract_ok"] = bodies, ok
             texts = bodies
         pages = [t or "" for t in texts]
+        tox = [None] * len(pages)
         if self.quality:
-            self._quality(pages, cols)
+            tox = self._quality(pages, cols)
         elif self.toxicity and {"keep", "drop_reasons"} <= set(names):
             cols["keep"] = batch.column("keep").to_pylist()
             cols["drop_reasons"] = batch.column("drop_reasons").to_pylist()
@@ -164,7 +175,7 @@ class DocumentOp:
             scrub = self._detect(texts, cols) if self.detect else list(pages)
             cols["text_scrubbed"] = scrub
         if self.toxicity:
-            self._toxicity(pages, scrub, cols)
+            self._toxicity(pages, scrub, tox, cols)
         types = {**_TYPES, cfg.text_column: pa.string()}
         out = {name: batch.column(name) for name in names if not (extract and name == "html")}
         # a produced column keeps the position of the input column it replaces
@@ -172,37 +183,38 @@ class DocumentOp:
             out[name] = pa.array(cols.pop(name), types[name])
         return pa.table(out, metadata=batch.schema.metadata)
 
-    def _quality(self, pages: List[str], cols: Dict[str, list]) -> None:
+    def _quality(self, pages: List[str], cols: Dict[str, list]) -> list:
         """Quality columns into ``cols``; a page whose kernels raise keeps
-        nulls in them and is dropped for :data:`QUALITY_ERROR`."""
+        nulls in them and is dropped for :data:`QUALITY_ERROR`. Returns each
+        page's toxicity score when the toxicity part runs (None where it was
+        not reached), so that part need not split the page again."""
         score = default_model().score
+        qcfg, tcfg = self.cfg.quality, self.cfg.toxicity
         n = len(pages)
-        ppl: List[Optional[float]] = [None] * n
-        for i, page in enumerate(pages):
-            try:
-                ppl[i] = score(page)
-            except Exception:  # noqa: BLE001 — poison page → quality_error
-                pass
-        lang_pred, lang_score = [None] * n, [None] * n
+        tox: list = [None] * n
+        ppl, lang_pred, lang_score = [None] * n, [None] * n, [None] * n
         feature_cols = {name: [None] * n for name in _FEATURES}
         keep, reasons = [False] * n, [None] * n
-        qcfg = self.cfg.quality
         for i, page in enumerate(pages):
-            if ppl[i] is not None:
-                try:
-                    feats = quality_features(page)  # one dict alive at a time
-                    pred, lscore = classify(page)
-                    keep[i], reasons[i] = quality_rules(feats, lscore, ppl[i], qcfg)
-                except Exception:  # noqa: BLE001 — poison page → quality_error
-                    ppl[i] = None
-            if ppl[i] is None:  # a kernel raised on this page; keep stays False
-                reasons[i] = [QUALITY_ERROR]
+            try:
+                # one split per page, shared by every kernel; the list is
+                # dropped with the page, never kept for the batch
+                words = words_of(page)
+                if self.toxicity:
+                    tox[i] = score_toxicity(page, tcfg.min_hits, tcfg.min_ratio, words)
+                p = score(page, words)
+                feats = quality_features(page, words)  # one dict alive at a time
+                pred, lscore = classify(page, words)
+                keep[i], reasons[i] = quality_rules(feats, lscore, p, qcfg)
+            except Exception:  # noqa: BLE001 — poison page → quality_error
+                reasons[i] = [QUALITY_ERROR]  # keep stays False
                 continue
-            lang_pred[i], lang_score[i] = pred, lscore
+            ppl[i], lang_pred[i], lang_score[i] = p, pred, lscore
             for name, col in feature_cols.items():
                 col[i] = feats[name]
         cols.update(lang_pred=lang_pred, lang_score=lang_score, ppl=ppl, **feature_cols)
         cols.update(keep=keep, drop_reasons=reasons)
+        return tox
 
     def _detect(self, texts: list, cols: Dict[str, list]) -> List[str]:
         """Detection columns into ``cols``; returns the scrubbed texts."""
@@ -228,9 +240,12 @@ class DocumentOp:
         cols["confianca"] = conf
         return scrub
 
-    def _toxicity(self, pages: List[str], scrub: List[str], cols: Dict[str, list]) -> None:
-        """Score every page, mask ``scrub`` in place, flip the gate in
-        ``cols`` (if any) for toxic pages."""
+    def _toxicity(
+        self, pages: List[str], scrub: List[str], tox: list, cols: Dict[str, list]
+    ) -> None:
+        """Score every page (``tox`` holds the scores the quality part already
+        made), mask ``scrub`` in place, flip the gate in ``cols`` (if any) for
+        toxic pages."""
         tcfg = self.cfg.toxicity
         n = len(pages)
         n_tox, ratio, toxic = [0] * n, [0.0] * n, [False] * n
@@ -238,7 +253,9 @@ class DocumentOp:
         for i, page in enumerate(pages):
             # outside the detect isolation: a poison-PII row is still gated
             try:
-                n_tox[i], ratio[i], toxic[i] = score_toxicity(page, tcfg.min_hits, tcfg.min_ratio)
+                n_tox[i], ratio[i], toxic[i] = tox[i] or score_toxicity(
+                    page, tcfg.min_hits, tcfg.min_ratio
+                )
                 if toxic[i]:
                     scrub[i] = scrub_toxic(scrub[i], tcfg.scrub_token)
             except Exception:  # noqa: BLE001

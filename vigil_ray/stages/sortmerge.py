@@ -143,12 +143,22 @@ def sorted_lookup_join(
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     key_cols = list(key_cols)
+    row_schema = rows_ds.schema()
+    if row_schema is None:
+        # no block has a schema: the input is empty (as after a row-function
+        # filter that kept nothing), and so is either join of it
+        return rows_ds
     lk_schema = lookup_ds.schema()
+    if lk_schema is None:
+        raise ValueError(
+            "lookup_ds has no known schema (an empty input whose columns are "
+            "unknown, e.g. after a row-function filter); the value columns "
+            "cannot be typed"
+        )
     lk_types = dict(zip(lk_schema.names, lk_schema.types))
     if value_cols is None:
         value_cols = [c for c in lk_schema.names if c not in key_cols]
     value_cols = list(value_cols)
-    row_schema = rows_ds.schema()
     payload_cols = [c for c in row_schema.names if c not in key_cols]
     row_types = dict(zip(row_schema.names, row_schema.types))
     for c in value_cols:
