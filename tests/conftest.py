@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -13,6 +14,17 @@ if str(REPO_ROOT) not in sys.path:
 
 SF_SMALL = "/root/testdata/sf0.001"
 SF_MID = "/root/testdata/sf0.01"
+
+
+def char_lm_spec_score(lm, norm: str) -> float:
+    """Per-char perplexity of pre-normalized (lowered, single-spaced) text
+    under ``lm``: each char's interpolated log-prob after its ``order-1``
+    chars of left context, summed left to right. The spec that
+    ``CharLM.score``'s segment-memoized path is pinned to."""
+    o = lm.order
+    seq = "~" * (o - 1) + norm
+    lps = [math.log(lm._prob(seq[i - o + 1 : i], seq[i])) for i in range(o - 1, len(seq))]
+    return round(math.exp(-sum(lps) / len(lps)), 4)
 
 
 @pytest.fixture(scope="session")

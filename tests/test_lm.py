@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import char_lm_spec_score
 
 
 def _ds(rows, parts=3):
@@ -147,7 +148,7 @@ class TestSegmentScoringDifferential:
             norm = " ".join(text.split()).lower()
             if not norm:
                 return
-            assert lm._score_segments(norm.split(" ")) == lm._score_scalar(norm), norm
+            assert lm._score_segments(norm.split(" ")) == char_lm_spec_score(lm, norm), norm
 
         check()
 
@@ -165,7 +166,7 @@ class TestSegmentScoringDifferential:
             norm = " ".join(text.split()).lower()
             if not norm:
                 return
-            assert lm._score_segments(norm.split(" ")) == lm._score_scalar(norm), repr(norm)
+            assert lm._score_segments(norm.split(" ")) == char_lm_spec_score(lm, norm), repr(norm)
 
         check()
 
@@ -178,7 +179,7 @@ class TestSegmentScoringDifferential:
             lm.score(w)
         assert len(lm._seg_memo) <= 2
         # capped scorer still scores correctly (falls through to gram memo)
-        assert lm.score("eta theta") == lm._score_scalar("eta theta")
+        assert lm.score("eta theta") == char_lm_spec_score(lm, "eta theta")
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -58,6 +58,21 @@ class TestSortedAttach:
         with pytest.raises(ValueError):
             sorted_attach(_mk(pd.DataFrame({"k": [1]})), ["k"])
 
+    def test_rejects_non_integer_sum_column(self):
+        """An int64 sum would truncate 0.5 + 0.75 to 0 silently."""
+        from vigil_ray.stages.corpus import sorted_group_agg, sorted_group_sum
+        from vigil_ray.stages.sortmerge import sorted_attach
+
+        df = pd.DataFrame({"k": [1, 1, 2], "n": [1, 2, 3], "x": [0.5, 0.75, 1.0]})
+        with pytest.raises(ValueError, match="'x'"):
+            sorted_attach(_mk(df, 2), ["k"], sum_cols=["n", "x"])
+        with pytest.raises(ValueError, match="'x'"):
+            sorted_group_sum(_mk(df, 2), ["k"], ["x"])
+        # min/max keep the native type: floats are fine there
+        out = sorted_group_agg(_mk(df, 2), ["k"], [("x", "max", "hi"), ("n", "sum", "s")])
+        got = sorted((r["k"], r["hi"], r["s"]) for r in out.take_all())
+        assert got == [(1, 0.75, 3), (2, 1.0, 3)]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestSortedLookupJoin:

@@ -18,6 +18,7 @@ stopwords.
 import re
 
 import pyarrow as pa
+from conftest import char_lm_spec_score
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,7 +119,7 @@ def _spec_score_toxicity(text, min_hits=2, min_ratio=0.1):
 def _spec_ppl(lm, text):
     """The space-joined, lowered text through the per-char scorer."""
     norm = " ".join(text.split()).lower()
-    return lm._score_scalar(norm) if norm else 0.0
+    return char_lm_spec_score(lm, norm) if norm else 0.0
 
 
 # --- alphabet ---------------------------------------------------------------

@@ -119,10 +119,10 @@ class CharLM:
         trailing-space) segments — the grams inside a segment depend only on
         the word's characters and the exact ``order-1`` characters before it,
         so a (ctx, word, trail) key is a sound memo key even when the context
-        spans several short preceding words. Bit-identical to
-        :meth:`_score_scalar` of the joined text (same lp sequence, same
-        summation order); ~1.6× faster on natural text where words repeat
-        across documents.
+        spans several short preceding words. Bit-identical to per-char
+        scoring of the joined text (same lp sequence, same summation order;
+        the spec is ``char_lm_spec_score`` in tests/conftest.py); ~1.6×
+        faster on natural text where words repeat across documents.
         """
         get = self._seg_memo.get
         lps: list = []
@@ -156,37 +156,6 @@ class CharLM:
         if len(self._seg_memo) < self._seg_memo_cap:
             self._seg_memo[(ctx, w, trail)] = entry
         return entry
-
-    def _score_scalar(self, norm: str) -> float:
-        """Dict-memo scalar scoring of pre-normalized text: the per-char
-        spec :meth:`_score_segments` is pinned to (tests/test_lm.py).
-
-        The hot path is C-speed end to end: one slice comprehension builds
-        the gram list, ``map(memo.get, grams)`` resolves the (overwhelmingly
-        common) memo hits without per-char Python bytecode, and ``sum`` folds
-        left-to-right float64 exactly like the per-char accumulator it
-        replaced (~560 → ~130 ns/char measured). Misses fall back to the
-        interpolated-probability chain per novel gram, identical values.
-        """
-        o = self.order
-        seq = ("~" * (o - 1)) + norm
-        grams = [seq[i - o + 1 : i + 1] for i in range(o - 1, len(seq))]
-        memo = self._memo
-        lps = list(map(memo.get, grams))
-        if None in lps:
-            log = math.log
-            cap = self._memo_cap
-            prob = self._prob
-            for j, lp in enumerate(lps):
-                if lp is None:
-                    g = grams[j]
-                    lp = memo.get(g)
-                    if lp is None:
-                        lp = log(prob(g[:-1], g[-1]))
-                        if len(memo) < cap:
-                            memo[g] = lp
-                    lps[j] = lp
-        return round(math.exp(-sum(lps) / len(lps)), 4)
 
 
 _cached: Dict[int, CharLM] = {}

@@ -297,12 +297,13 @@ def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
 
     ``specs`` is a sequence of ``(col, op, out_name)`` with op in
     ``{"sum", "min", "max"}``; the same input col may appear under several
-    ops/out names. ``sum`` accumulates int64 (integer-exact — quantize float
-    costs first); ``min``/``max`` keep the column's native type (their
+    ops/out names. ``sum`` takes integer columns only (``ValueError``
+    otherwise) and accumulates int64, integer-exact — quantize float costs
+    first; ``min``/``max`` keep the column's native type (their
     partial merge is order-independent, so floats are exact too).
     """
     from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import np_col, reduce_sorted_runs
+    from vigil_ray.stages.runs import np_col, reduce_sorted_runs, require_int_cols
 
     key_cols = list(key_cols)
     specs = [tuple(s) for s in specs]
@@ -310,6 +311,7 @@ def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
         if op not in _AGG_REDUCE:
             raise ValueError(f"sorted_group_agg: unknown op {op!r}")
     ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(key_cols))  # see sorted_group_min
+    require_int_cols(ds_sorted, [c for c, op, _ in specs if op == "sum"], "sorted_group_agg")
 
     def run_aggs(batch: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
         out = batch.select(key_cols).take(pa.array(starts[runs], pa.int64()))

@@ -18,25 +18,26 @@ import pyarrow.compute as pc
 def sessionize(ds, gap_minutes: int = 30):
     """→ (user_id, n_sessions, n_events, max_session_events).
 
-    One global sort by (user_id, ts) pins each user's events contiguous;
-    every block computes its runs' session segments VECTORIZED (a session
-    starts at each run start and wherever the in-run gap exceeds the
-    threshold). Interior runs — users entirely inside one block — emit
-    final rows directly. Only each block's FIRST and LAST run defer a
-    constant-size fragment ``(k sessions, n events, max, head len, tail
-    len, first/last ts)`` to the driver, which folds adjacent fragments
-    with the session-merge monoid: when the cross-boundary gap ≤ threshold
-    the left tail session and right head session coalesce
-    (``k₁+k₂−1``, ``max(m₁, m₂, tail₁+head₂)``). ≤2 fragments per block.
+    One global sort by (user_id, ts) pins each user's events contiguous; a
+    session starts at each user-run start and wherever the in-run gap
+    exceeds the threshold. The user runs reduce on ``runs.reduce_sorted_runs``:
 
-    Degenerate-tie caveat: fragments fold in (first_ts, last_ts) order;
-    identical timestamps spanning 3+ blocks fold in arbitrary order among
-    the ties, which is still correct because a 0 gap always merges.
+    - partial: each run's constant-size FRAGMENT ``(k sessions, n events,
+      max session, head len, tail len, first/last ts)``, computed
+      vectorized per block;
+    - merge: the session-merge monoid folds a user's fragments from the
+      blocks it spans in (first_ts, last_ts) order. When the
+      cross-boundary gap ≤ threshold the left tail session and right head
+      session coalesce (``k₁+k₂−1``, ``max(m₁, m₂, tail₁+head₂)``);
+    - emit: users inside one block are complete, their fragment IS the row.
+
+    No worker, aggregate or collected list holds a user's history, and the
+    driver folds ≤2 fragments per block. Degenerate-tie caveat: identical
+    timestamps spanning 3+ blocks fold in arbitrary order among the ties,
+    which is still correct because a 0 gap always merges.
     """
-    import ray.data as rd
-
     from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
-    from vigil_ray.stages.runs import run_starts
+    from vigil_ray.stages.runs import np_col, reduce_sorted_runs
 
     gap_us = gap_minutes * 60_000_000
 
@@ -49,57 +50,38 @@ def sessionize(ds, gap_minutes: int = 30):
     base = ds.map_batches(to_us, batch_format="pyarrow")
     ds_sorted = compact_blocks(coalesce_blocks(base).sort(["user_id", "ts_us"]))
 
-    def block_stats(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts_us").combine_chunks().to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        starts = run_starts(batch, ["user_id"])
-        sess_start = np.empty(n, dtype=bool)
-        sess_start[0] = True
-        sess_start[1:] = (ts[1:] - ts[:-1]) > gap_us
-        sess_start[starts] = True  # a new user always starts a session
-        sess_starts = np.flatnonzero(sess_start)
-        seg_len = np.diff(np.append(sess_starts, n))
-        seg_run = np.searchsorted(starts, sess_starts, side="right") - 1
-        nruns = len(starts)
-        run_seg_first = np.searchsorted(seg_run, np.arange(nruns), side="left")
-        k = np.diff(np.append(run_seg_first, len(sess_starts)))
-        mx = np.maximum.reduceat(seg_len, run_seg_first)
+    def fragments(block: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+        ts = np_col(block, "ts_us")
+        n = block.num_rows
+        new = np.ones(n, dtype=bool)
+        new[1:] = (ts[1:] - ts[:-1]) > gap_us
+        new[starts] = True  # a new user always starts a session
+        sess = np.flatnonzero(new)
+        seg_len = np.diff(np.append(sess, n))
+        first = np.searchsorted(sess, starts)  # each run's first session
+        k = np.diff(np.append(first, len(sess)))
         ne = np.diff(np.append(starts, n))
-        head = seg_len[run_seg_first]
-        tail = seg_len[np.append(run_seg_first[1:], len(seg_len)) - 1]
-        is_frag = np.zeros(nruns, dtype=bool)
-        is_frag[0] = True
-        is_frag[-1] = True
-        return pa.table(
-            {
-                "user_id": batch.column("user_id").take(
-                    pa.array(starts, pa.int64())
-                ),
-                "k": pa.array(k, pa.int64()),
-                "ne": pa.array(ne, pa.int64()),
-                "mx": pa.array(mx, pa.int64()),
-                "head": pa.array(head, pa.int64()),
-                "tail": pa.array(tail, pa.int64()),
-                "first_ts": pa.array(ts[starts], pa.int64()),
-                "last_ts": pa.array(ts[np.append(starts[1:], n) - 1], pa.int64()),
-                "is_frag": pa.array(is_frag),
-            }
-        )
+        cols = {
+            "k": k,
+            "ne": ne,
+            "mx": np.maximum.reduceat(seg_len, first),
+            "head": seg_len[first],
+            "tail": seg_len[first + k - 1],
+            "first_ts": ts[starts],
+            "last_ts": ts[starts + ne - 1],
+        }
+        out = block.select(["user_id"]).take(pa.array(starts[runs], pa.int64()))
+        for c, v in cols.items():
+            out = out.append_column(c, pa.array(v[runs], pa.int64()))
+        return out
 
-    stats = ds_sorted.map_batches(
-        block_stats, batch_format="pyarrow", batch_size=None
-    ).materialize()  # one row per user-run: output-sized, computed once
-    if stats.schema() is None:  # fully empty input
-        return stats
-
-    frags = stats.map_batches(
-        lambda b: b.filter(b.column("is_frag")), batch_format="pyarrow"
-    ).take_all()
-    frags.sort(key=lambda r: (r["user_id"], r["first_ts"], r["last_ts"]))
-
-    merged: list = []
-    for f in frags:
-        if merged and merged[-1]["user_id"] == f["user_id"]:
+    def fold(frags: pa.Table) -> pa.Table:
+        order = [(c, "ascending") for c in ("user_id", "first_ts", "last_ts")]
+        merged: list = []
+        for f in frags.sort_by(order).to_pylist():
+            if not merged or merged[-1]["user_id"] != f["user_id"]:
+                merged.append(f)
+                continue
             p = merged[-1]
             if f["first_ts"] - p["last_ts"] <= gap_us:  # sessions coalesce
                 joint = p["tail"] + f["head"]
@@ -113,37 +95,25 @@ def sessionize(ds, gap_minutes: int = 30):
                 p["mx"] = max(p["mx"], f["mx"])
             p["ne"] += f["ne"]
             p["last_ts"] = f["last_ts"]
-        else:
-            merged.append(dict(f))
+        return users(pa.Table.from_pylist(merged, schema=frags.schema))
 
-    utype = stats.schema().types[stats.schema().names.index("user_id")]
-    boundary_tbl = rd.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([m["user_id"] for m in merged], utype),
-                "n_sessions": pa.array([m["k"] for m in merged], pa.int64()),
-                "n_events": pa.array([m["ne"] for m in merged], pa.int64()),
-                "max_session_events": pa.array(
-                    [m["mx"] for m in merged], pa.int64()
-                ),
-            }
-        )
-    )
-
-    def interior(batch: pa.Table) -> pa.Table:
-        keep = pc.invert(batch.column("is_frag"))
-        t = batch.filter(keep)
+    def users(frags: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "user_id": t.column("user_id"),
-                "n_sessions": t.column("k"),
-                "n_events": t.column("ne"),
-                "max_session_events": t.column("mx"),
+                "user_id": frags.column("user_id"),
+                "n_sessions": frags.column("k"),
+                "n_events": frags.column("ne"),
+                "max_session_events": frags.column("mx"),
             }
         )
 
-    return boundary_tbl.union(
-        stats.map_batches(interior, batch_format="pyarrow")
+    return reduce_sorted_runs(
+        ds_sorted,
+        ["user_id"],
+        ["ts_us"],
+        fragments,
+        fold,
+        lambda block, starts, runs: users(fragments(block, starts, runs)),
     )
 
 

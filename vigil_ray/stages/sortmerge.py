@@ -6,25 +6,29 @@ shuffle-aggregator pool worth ~3 s of fixed machinery at sf0.1 — while a
 native ``sort`` of the same rows is ~0.1 s. ``sorted_group_sum`` /
 ``sorted_group_min`` (stages/corpus.py) exploit that for GROUP outputs; the
 two primitives here exploit it for ROW outputs, replacing
-aggregate-then-join-back plans with one sort:
+aggregate-then-join-back plans with one sort. Both sit on
+``runs.fill_sorted_runs``: each block defers its first and last key run,
+the driver merges them by key in one collection and broadcasts the merged
+rows once, and a fill pass gives every row its run's value (the merged one
+for edge runs, the local one for interior runs).
 
 * :func:`sorted_attach` — append each key's global COUNT and/or integer
   SUMs to every row of the key's run (``COUNT/SUM OVER (PARTITION BY key)``
-  — the window-aggregate shape): sort by key, per-run ``np.add.reduceat``,
-  first/last run of each block deferred as ≤2 partial rows to the driver,
-  which reconciles straddling runs and broadcasts the small boundary dict
-  back for a second pass over the pinned sorted blocks.
-* :func:`sorted_lookup_join` — inner-join a unique-key lookup table into a
-  row stream as a sort-merge: union both (lookup rows tagged src=0 so the
-  sort places each key's lookup row at its run head), propagate the lookup
-  values down each run vectorized, same ≤2-rows-per-block boundary protocol.
-  The lookup stays distributed — nothing broadcasts, so (unlike the
-  broadcast-map pattern) it is safe for vocabulary-/corpus-scale lookups.
+  — the window-aggregate shape): per-run ``np.add.reduceat`` partials,
+  summed by key on the driver.
+* :func:`sorted_lookup_join` — inner- or left-join a unique-key lookup
+  table into a row stream as a sort-merge: union both (lookup rows tagged
+  src=0 so the sort places each key's lookup row at its run head); a run's
+  value is its head row's, and every data row takes its run's value. The
+  lookup stays distributed — only the edge runs' values broadcast, so
+  (unlike the broadcast-map pattern) it is safe for vocabulary-/corpus-scale
+  lookups.
 
-Both consume the sorted Dataset twice (boundary pass + fill pass); the sort
+Both consume the sorted Dataset twice (edge-run pass + fill pass); the sort
 has already materialized its output, so the second pass re-reads pinned
-blocks, not the lineage. Used by tf-idf (df counts), PageRank (rank→edge
-lookup) and the LM scorer's fused variant (stages/lm.py).
+blocks, not the lineage. Used by tf-idf and the prefix-filter dedup (df
+counts), PageRank, connected components and canonical docs (label and rank
+lookups), the dedup pair-text attach and the bigram PMI unigram lookups.
 """
 
 from __future__ import annotations
@@ -35,17 +39,12 @@ import numpy as np
 import pyarrow as pa
 
 from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
-from vigil_ray.stages.runs import np_col, run_starts
-
-
-def _edge_idx(n_runs: int) -> list:
-    """Indices of the runs that can straddle a block boundary (the block's
-    first and last; one entry when the block is a single run)."""
-    return [0] if n_runs == 1 else [0, n_runs - 1]
-
-
-def _key_tuple(batch: pa.Table, key_cols: Sequence[str], i: int) -> tuple:
-    return tuple(batch.column(c)[i].as_py() for c in key_cols)
+from vigil_ray.stages.runs import (
+    fill_sorted_runs,
+    np_col,
+    require_int_cols,
+    run_starts,
+)
 
 
 def sorted_attach(
@@ -56,76 +55,47 @@ def sorted_attach(
 ):
     """Append per-key window aggregates to every row: ``count_name`` (key's
     global row count) and/or ``<c>_sum`` for each integer column in
-    ``sum_cols``. Output rows keep all input columns (order unspecified)."""
+    ``sum_cols`` (a non-integer column raises ``ValueError``). Output rows
+    keep all input columns (order unspecified)."""
     key_cols = list(key_cols)
     sum_cols = list(sum_cols)
     if not sum_cols and count_name is None:
         raise ValueError("nothing to attach")
+    # output column -> summed input column (None: the row count)
+    outs = {count_name: None} if count_name else {}
+    outs.update({f"{c}_sum": c for c in sum_cols})
 
     # coalesce first: Ray sort fan-out is keyed on input block count, and a
     # fine-block layout (filter/union debris) costs seconds of scheduling
     ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(key_cols))
+    require_int_cols(ds_sorted, sum_cols, "sorted_attach")
 
-    def _partials(batch: pa.Table):
-        starts = run_starts(batch, key_cols)
-        lens = np.diff(np.append(starts, batch.num_rows))
-        sums = [
-            np.add.reduceat(np_col(batch, c).astype(np.int64), starts)
-            for c in sum_cols
-        ]
-        return starts, lens, sums
-
-    def boundary(batch: pa.Table) -> pa.Table:
-        starts, lens, sums = _partials(batch)
-        idx = _edge_idx(len(starts))
-        out = {
-            c: pa.array(
-                [batch.column(c)[int(starts[j])].as_py() for j in idx],
-                batch.column(c).type,
+    def run_totals(block: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+        lens = np.diff(np.append(starts, block.num_rows))
+        out = block.select(key_cols).take(pa.array(starts[runs], pa.int64()))
+        for name, c in outs.items():
+            vals = lens if c is None else np.add.reduceat(
+                np_col(block, c).astype(np.int64), starts
             )
-            for c in key_cols
-        }
-        out["__n"] = pa.array([int(lens[j]) for j in idx], pa.int64())
-        for k, c in enumerate(sum_cols):
-            out[f"__s_{c}"] = pa.array(
-                [int(sums[k][j]) for j in idx], pa.int64()
-            )
-        return pa.table(out)
+            out = out.append_column(name, pa.array(vals[runs], pa.int64()))
+        return out
 
-    deferred = ds_sorted.map_batches(
-        boundary, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    bound: dict = {}
-    for r in deferred:
-        k = tuple(r[c] for c in key_cols)
-        acc = bound.setdefault(k, [0] * (1 + len(sum_cols)))
-        acc[0] += r["__n"]
-        for j, c in enumerate(sum_cols):
-            acc[1 + j] += r[f"__s_{c}"]
+    def add(deferred: pa.Table) -> pa.Table:
+        merged = deferred.group_by(key_cols, use_threads=False).aggregate(
+            [(name, "sum") for name in outs]
+        )
+        return merged.select(
+            key_cols + [f"{name}_sum" for name in outs]
+        ).rename_columns(key_cols + list(outs))
 
-    def fill(batch: pa.Table) -> pa.Table:
-        starts, lens, sums = _partials(batch)
-        run_n = lens.astype(np.int64)
-        run_sums = [s.astype(np.int64) for s in sums]
-        for j in _edge_idx(len(starts)):
-            k = _key_tuple(batch, key_cols, int(starts[j]))
-            acc = bound.get(k)
-            if acc is not None:
-                run_n[j] = acc[0]
-                for m in range(len(sum_cols)):
-                    run_sums[m][j] = acc[1 + m]
-        t = batch
-        if count_name:
-            t = t.append_column(
-                count_name, pa.array(np.repeat(run_n, lens), pa.int64())
-            )
-        for m, c in enumerate(sum_cols):
-            t = t.append_column(
-                f"{c}_sum", pa.array(np.repeat(run_sums[m], lens), pa.int64())
-            )
-        return t
+    def attach(block: pa.Table, starts: np.ndarray, per_run: pa.Table) -> pa.Table:
+        lens = np.diff(np.append(starts, block.num_rows))
+        for name in outs:
+            vals = np.repeat(np_col(per_run, name), lens)
+            block = block.append_column(name, pa.array(vals, pa.int64()))
+        return block
 
-    return ds_sorted.map_batches(fill, batch_format="pyarrow", batch_size=None)
+    return fill_sorted_runs(ds_sorted, key_cols, sum_cols, run_totals, add, attach)
 
 
 def sorted_lookup_join(
@@ -201,120 +171,34 @@ def sorted_lookup_join(
     )
     merged = compact_blocks(combined.sort(key_cols + ["__src"]))
 
-    # --- boundary pass: each block's first/last run key + value-if-known ---
-    def boundary(batch: pa.Table) -> pa.Table:
-        src = np_col(batch, "__src")
-        starts = run_starts(batch, key_cols)
-        idx = _edge_idx(len(starts))
-        keys = {
-            c: pa.array(
-                [batch.column(c)[int(starts[j])].as_py() for j in idx],
-                batch.column(c).type,
-            )
-            for c in key_cols
-        }
-        known = [bool(src[int(starts[j])] == 0) for j in idx]
-        out = dict(keys)
-        for c in value_cols:
-            out[c] = pa.array(
-                [
-                    batch.column(c)[int(starts[j])].as_py() if kn else None
-                    for j, kn in zip(idx, known)
-                ],
-                lk_types[c],
-            )
-        out["__known"] = pa.array(known, pa.bool_())
-        return pa.table(out)
+    def run_values(block: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+        """Each run's head row: the lookup row's values when the run has
+        one (``__known``), else the data row's null values."""
+        heads = starts[runs]
+        out = block.select(key_cols + value_cols).take(pa.array(heads, pa.int64()))
+        known = np_col(block, "__src")[heads] == 0
+        return out.append_column("__known", pa.array(known, pa.bool_()))
 
-    deferred = merged.map_batches(
-        boundary, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    bound: dict = {}
-    for r in deferred:
-        if r["__known"]:
-            bound[tuple(r[c] for c in key_cols)] = tuple(
-                r[c] for c in value_cols
-            )
+    def known_first(deferred: pa.Table) -> pa.Table:
+        """One row per key: its lookup-row values if any block saw them."""
+        deferred = deferred.sort_by(
+            [(c, "ascending") for c in key_cols] + [("__known", "descending")]
+        )
+        return deferred.take(pa.array(run_starts(deferred, key_cols), pa.int64()))
 
-    out_cols = key_cols + payload_cols + value_cols
-
-    def fill(batch: pa.Table) -> pa.Table:
-        src = np_col(batch, "__src")
-        starts = run_starts(batch, key_cols)
-        lens = np.diff(np.append(starts, batch.num_rows))
-        n_runs = len(starts)
-        # interior runs: fully vectorized — each row takes its run-head row's
-        # value columns (the lookup row when the run matches); runs whose
-        # head is a data row have no lookup anywhere → inner-drop
-        head_is_lookup = src[starts] == 0
-        # per-run source index for values (run head), -1 = dict/drop
-        edge = np.zeros(n_runs, dtype=bool)
-        for j in _edge_idx(n_runs):
-            edge[j] = True
-        row_run = np.repeat(np.arange(n_runs), lens)
-        row_head = np.repeat(starts, lens)
-        data_mask = src == 1
-        parts = []
-        # vectorized interior fill: each row takes its run-head row's value
-        # columns; unmatched runs drop (inner) or null-fill (left)
+    def join_rows(block: pa.Table, starts: np.ndarray, per_run: pa.Table) -> pa.Table:
+        lens = np.diff(np.append(starts, block.num_rows))
+        run = np.repeat(np.arange(len(starts)), lens)
+        keep = np_col(block, "__src") == 1
         if how == "inner":
-            int_mask = data_mask & np.repeat(head_is_lookup & ~edge, lens)
-        else:
-            int_mask = data_mask & np.repeat(~edge, lens)
-        if int_mask.any():
-            sel = np.flatnonzero(int_mask)
-            t = pa.table(
-                {
-                    c: batch.column(c).take(pa.array(sel, pa.int64()))
-                    for c in key_cols + payload_cols
-                }
-            )
-            heads = row_head[sel]
-            matched = np.repeat(head_is_lookup, lens)[sel]
-            for c in value_cols:
-                taken = batch.column(c).take(pa.array(heads, pa.int64()))
-                if how == "left" and not matched.all():
-                    import pyarrow.compute as pc
+            keep &= np_col(per_run, "__known")[run]
+        sel = np.flatnonzero(keep)
+        out = block.select(key_cols + payload_cols).take(pa.array(sel, pa.int64()))
+        run_of = pa.array(run[sel], pa.int64())
+        for c in value_cols:
+            out = out.append_column(c, per_run.column(c).take(run_of))
+        return out
 
-                    taken = pc.if_else(
-                        pa.array(matched),
-                        taken.combine_chunks(),
-                        pa.scalar(None, lk_types[c]),
-                    )
-                t = t.append_column(c, taken)
-            parts.append(t.select(out_cols))
-        # edge runs (≤2): values from the reconciled boundary dict
-        for j in _edge_idx(n_runs):
-            s = int(starts[j])
-            k = _key_tuple(batch, key_cols, s)
-            vals = bound.get(k)
-            if vals is None and how == "inner":
-                continue
-            sel = np.flatnonzero(data_mask & (row_run == j))
-            if not len(sel):
-                continue
-            t = pa.table(
-                {
-                    c: batch.column(c).take(pa.array(sel, pa.int64()))
-                    for c in key_cols + payload_cols
-                }
-            )
-            for m, c in enumerate(value_cols):
-                t = t.append_column(
-                    c,
-                    pa.array(
-                        [None if vals is None else vals[m]] * len(sel),
-                        lk_types[c],
-                    ),
-                )
-            parts.append(t.select(out_cols))
-        if not parts:
-            return pa.table(
-                {
-                    c: pa.array([], row_types.get(c, lk_types.get(c)))
-                    for c in out_cols
-                }
-            )
-        return pa.concat_tables(parts)
-
-    return merged.map_batches(fill, batch_format="pyarrow", batch_size=None)
+    return fill_sorted_runs(
+        merged, key_cols, ["__src"] + value_cols, run_values, known_first, join_rows
+    )
