@@ -353,31 +353,47 @@ class TestBatchEditDistances:
 
 
 class TestBoundaryRunTruncationAccounting:
-    def test_precap_drops_are_counted(self, ray_session, caplog):
-        """A degenerate bucket that IS a block's only run gets pre-capped
-        inside the block before reaching the driver; the warning must still
-        report the TRUE drop count (run_size ships alongside the capped
-        members)."""
+    def test_precap_drops_are_counted(self, ray_session, tmp_path):
+        """A degenerate bucket spread over every input block reaches one
+        sorted block whole and is truncated there; the warning reports the
+        TRUE drop count. It is logged in the Ray worker that holds the
+        bucket, so the test sends that worker's ``vigil_ray.dedup`` records
+        to a file."""
         import logging
+        from unittest import mock
 
         import ray.data as rd
 
-        from vigil_ray.stages.dedup import all_member_pairs, sorted_bucket_pairs
+        from vigil_ray.stages import dedup
+
+        log = tmp_path / "warnings"
+        log.touch()
+        warn = dedup._warn_truncated
+
+        def to_file(stage, n_buckets, n_dropped):
+            handler = logging.FileHandler(log)
+            logger = logging.getLogger("vigil_ray.dedup")
+            logger.addHandler(handler)
+            try:
+                warn(stage, n_buckets, n_dropped)
+            finally:
+                logger.removeHandler(handler)
+                handler.close()
 
         # one bucket of 50 members split across 5 blocks; cap 10 → 40 dropped
         rows = rd.from_items(
             [{"k": 1, "vid": i} for i in range(50)]
         ).repartition(5)
-        with caplog.at_level(logging.WARNING, logger="vigil_ray.dedup"):
-            out = sorted_bucket_pairs(
-                rows, ["k"], ["vid"], all_member_pairs, 10, "test_stage"
+        with mock.patch.object(dedup, "_warn_truncated", to_file):
+            out = dedup.sorted_bucket_pairs(
+                rows, ["k"], ["vid"], dedup.all_member_pairs, 10, "test_stage"
             ).to_pandas()
         # kept = 10 smallest ids → C(10,2) pairs
         assert len(out) == 45
+        messages = log.read_text().splitlines()
         assert any(
-            "test_stage" in r.message and "40 member(s) dropped" in r.message
-            for r in caplog.records
-        ), [r.message for r in caplog.records]
+            "test_stage" in m and "40 member(s) dropped" in m for m in messages
+        ), messages
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -138,3 +138,58 @@ class TestSortedLookupJoin:
         lk2 = lk.rename(columns={"val": "payload"})
         with pytest.raises(ValueError):
             sorted_lookup_join(_mk(rows), _mk(lk2), ["k"])
+
+    def test_rejects_duplicate_lookup_key(self):
+        """A key with two lookup rows raises instead of taking either one;
+        the check runs in the worker holding the key's run, so the driver
+        sees it wrapped in Ray's task error with the message intact."""
+        from vigil_ray.stages.sortmerge import sorted_lookup_join
+
+        rows, lk = self._data()
+        dup = pd.concat([lk, lk[lk["k"] == 7].assign(val=-1)])
+        with pytest.raises(Exception, match=r"ValueError: .*duplicate key \{'k': 7\}"):
+            sorted_lookup_join(_mk(rows), _mk(dup, 3), ["k"], how="left").materialize()
+
+
+def _contract_table(kind: str) -> pa.Table:
+    """200k rows, one key holding 60% of them, the rest spread thin."""
+    r = _rng(3)
+    n = 200_000
+    hot = r.random(n) < 0.6
+    a = np.where(hot, 0, r.integers(1, 20_000, n))
+    if kind == "int64":
+        return pa.table({"k": a})
+    if kind == "string":
+        return pa.table({"k": pa.array([f"key{x}" for x in a], pa.string())})
+    if kind == "two_column":
+        return pa.table({"k": a % 100, "j": np.where(hot, 0, a // 100)})
+    # null-bearing: 5% null keys next to the hot run
+    return pa.table({"k": pa.array(a, pa.int64(), mask=r.random(n) < 0.05)})
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["int64", "string", "two_column", "nulls"])
+def test_sort_keeps_each_key_in_one_block(kind):
+    """The contract ``runs.map_sorted_runs`` stands on: Ray's
+    range-partitioned ``sort`` puts every distinct key in exactly one
+    output block, however hot the key, so a map over sorted blocks sees
+    each key run whole. Ray relies on the same contract in
+    ``GroupedData.map_groups`` (``ray/data/grouped_data.py``: sort, then
+    ``batch_size=None``, "guaranteeing that groups are contained in
+    full"). If a Ray upgrade breaks it, this fails before any sorted-run
+    operator returns a wrong answer."""
+    import ray
+    import ray.data as rd
+
+    t = _contract_table(kind)
+    keys = t.column_names
+    mat = rd.from_arrow(t).repartition(8).sort(keys).materialize()
+    blocks = [b for b in ray.get(mat.to_arrow_refs()) if b.num_rows]
+    assert sum(b.num_rows for b in blocks) == t.num_rows
+    assert len(blocks) > 1
+    distinct = pa.concat_tables(
+        [b.group_by(keys, use_threads=False).aggregate([]) for b in blocks]
+    )
+    per_key = distinct.group_by(keys, use_threads=False).aggregate([([], "count_all")])
+    assert per_key.num_rows == t.group_by(keys, use_threads=False).aggregate([]).num_rows
+    assert max(per_key.column("count_all").to_pylist()) == 1

@@ -471,8 +471,8 @@ class TestSortedRunReducerProperties:
             log.touch()
 
             def record(stage, n_buckets, n_dropped):
-                # runs in the driver (boundary runs) or in a Ray worker
-                # (interior runs): append to a file both can reach
+                # runs in the Ray worker that holds the bucket: append to a
+                # file the test process can read
                 with open(log, "a") as f:
                     f.write(f"{n_buckets} {n_dropped}\n")
 
@@ -516,8 +516,7 @@ class TestSortedRunReducerProperties:
 
 
 # rows for the sort-merge attach / lookup join: (key in 0..5, int value).
-# A hot key 6 is added to every example; ``slice_rows`` is the re-cut
-# sorted block size (see _recut_sorted_blocks).
+# A hot key 6, ``hot_rows`` rows long, is added to every example.
 attach_rows = st.lists(
     st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=-3, max_value=3)),
     min_size=0,
@@ -529,7 +528,7 @@ _SORTMERGE_GIVEN = dict(
     rows=attach_rows,
     nblocks=st.integers(min_value=1, max_value=7),
     key_type=st.sampled_from(["int64", "string"]),
-    slice_rows=st.integers(min_value=1, max_value=4),
+    hot_rows=st.integers(min_value=3, max_value=9),
 )
 
 
@@ -541,59 +540,21 @@ def _key_array(keys, key_type):
     return pa.array([f"key{k}" for k in keys], pa.string())
 
 
-def _recut_sorted_blocks(slice_rows, first=(), last=()):
-    """A stand-in for ``sortmerge.compact_blocks``: the real sorted layout,
-    re-cut into blocks of ``slice_rows`` rows, plus a cut before each run
-    of a key in ``first`` (its run opens a block) and after each run of a
-    key in ``last`` (its run closes one). Ray's range-partitioned sort keeps
-    equal sort keys in one block, so without a re-cut a key run never
-    straddles a sorted block boundary at this size."""
-    from unittest import mock
-
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
-    from vigil_ray.stages import sortmerge
-
-    real = sortmerge.compact_blocks
-
-    def recut(ds):
-        mat = real(ds)
-        tables = [t for t in ray.get(mat.to_arrow_refs()) if t.num_rows]
-        if not tables:
-            return mat
-        t = pa.concat_tables(tables).combine_chunks()
-        keys = t.column("k").to_pylist()
-        cuts = set(range(slice_rows, len(keys), slice_rows))
-        for i in range(1, len(keys)):
-            if keys[i] != keys[i - 1] and (keys[i] in first or keys[i - 1] in last):
-                cuts.add(i)
-        bounds = [0, *sorted(cuts), len(keys)]
-        return rd.from_arrow(
-            [t.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-        )
-
-    return mock.patch.object(sortmerge, "compact_blocks", recut)
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestSortMergeAttachProperties:
     """Differential: ``sorted_attach`` (count + int sums) and
     ``sorted_lookup_join`` (inner, left) against pandas ``transform`` and
-    ``merge`` on 1-7 input blocks, int and string keys, a hot key whose
-    run spans 3+ sorted blocks, lookup keys missing exactly at a block's
-    first or last run, and a lookup row with a null value."""
+    ``merge`` on 1-7 input blocks, int and string keys, a hot key, missing
+    lookup keys, and a lookup row with a null value."""
 
     @given(**_SORTMERGE_GIVEN)
     @settings(**_SETTINGS)
-    def test_attach_matches_pandas_transform(self, rows, nblocks, key_type, slice_rows):
+    def test_attach_matches_pandas_transform(self, rows, nblocks, key_type, hot_rows):
         import pyarrow as pa
 
         from vigil_ray.stages.sortmerge import sorted_attach
 
-        # the hot run is longer than two re-cut blocks: it spans 3+ of them
-        rows = list(rows) + [(_HOT, i % 7 - 3) for i in range(2 * slice_rows + 1)]
+        rows = list(rows) + [(_HOT, i % 7 - 3) for i in range(hot_rows)]
         keys = [r[0] for r in rows]
         tbl = pa.table(
             {
@@ -603,11 +564,10 @@ class TestSortMergeAttachProperties:
                 "rid": pa.array(range(len(rows)), pa.int64()),
             }
         )
-        with _recut_sorted_blocks(slice_rows):
-            out = sorted_attach(
-                _arrow_ds(tbl, nblocks), ["k"], sum_cols=["v", "w"], count_name="n"
-            )
-            got, types = _rows_of(out, ["rid", "k", "v", "w", "n", "v_sum", "w_sum"])
+        out = sorted_attach(
+            _arrow_ds(tbl, nblocks), ["k"], sum_cols=["v", "w"], count_name="n"
+        )
+        got, types = _rows_of(out, ["rid", "k", "v", "w", "n", "v_sum", "w_sum"])
         df = tbl.to_pandas()
         g = df.groupby("k")
         df["n"], df["v_sum"], df["w_sum"] = (
@@ -621,28 +581,26 @@ class TestSortMergeAttachProperties:
 
     @pytest.mark.parametrize("how", ["inner", "left"])
     @given(
-        missing=st.dictionaries(
-            st.integers(min_value=0, max_value=5), st.sampled_from(["first", "last"])
-        ),
+        missing=st.sets(st.integers(min_value=0, max_value=5)),
         null_key=st.integers(min_value=0, max_value=_HOT),
         lk_blocks=st.integers(min_value=1, max_value=3),
         **_SORTMERGE_GIVEN,
     )
     @settings(**_SETTINGS)
     def test_lookup_join_matches_pandas_merge(
-        self, rows, nblocks, key_type, slice_rows, missing, null_key, lk_blocks, how
+        self, rows, nblocks, key_type, hot_rows, missing, null_key, lk_blocks, how
     ):
         import pandas as pd
         import pyarrow as pa
 
         from vigil_ray.stages.sortmerge import sorted_lookup_join
 
-        rows = list(rows) + [(_HOT, 0)] * (2 * slice_rows + 1)
+        rows = list(rows) + [(_HOT, 0)] * hot_rows
         keys = [r[0] for r in rows]
         tbl = pa.table(
             {"k": _key_array(keys, key_type), "rid": pa.array(range(len(rows)), pa.int64())}
         )
-        missing.pop(null_key, None)
+        missing.discard(null_key)
         lk_keys = [k for k in range(_HOT + 1) if k not in missing]
         lk = pa.table(
             {
@@ -651,14 +609,10 @@ class TestSortMergeAttachProperties:
                 "tag": pa.array([f"t{k}" for k in lk_keys], pa.string()),
             }
         )
-        key_of = dict(zip(range(_HOT + 1), _key_array(list(range(_HOT + 1)), key_type).to_pylist()))
-        first = {key_of[k] for k, side in missing.items() if side == "first"}
-        last = {key_of[k] for k, side in missing.items() if side == "last"}
-        with _recut_sorted_blocks(slice_rows, first, last):
-            out = sorted_lookup_join(
-                _arrow_ds(tbl, nblocks), _arrow_ds(lk, lk_blocks), ["k"], how=how
-            )
-            got, types = _rows_of(out, ["rid", "k", "val", "tag"])
+        out = sorted_lookup_join(
+            _arrow_ds(tbl, nblocks), _arrow_ds(lk, lk_blocks), ["k"], how=how
+        )
+        got, types = _rows_of(out, ["rid", "k", "val", "tag"])
         lk_df = lk.to_pandas()
         lk_df["val"] = pd.array(lk.column("val").to_pylist(), dtype="Int64")
         merged = tbl.to_pandas().merge(lk_df, on="k", how=how)

@@ -77,9 +77,9 @@ def write_dataset(ds, out_dir: str, fmt: str = "parquet") -> Written:
     return Written(fs, sorted(_files_under(fs, root) - before), fmt)
 
 
-def read_written(written: Written, columns: List[str]):
-    """Dataset of ``columns`` read back from the files of one write (CSV
-    ``tipos_detectados`` stays comma-joined)."""
+def read_written(written: Written, columns: Optional[List[str]] = None):
+    """Dataset of ``columns`` (parquet: all when None) read back from the
+    files of one write (CSV ``tipos_detectados`` stays comma-joined)."""
     import ray.data as rd
 
     if written.fmt == "parquet":

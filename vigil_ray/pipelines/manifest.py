@@ -69,6 +69,8 @@ def run_resumable(
     """
     import ray.data as rd
 
+    from vigil_ray.pipelines.export import read_written, write_dataset
+
     os.makedirs(out_dir, exist_ok=True)
     manifest = load_manifest(out_dir)
     ran, skipped = 0, 0
@@ -92,8 +94,7 @@ def run_resumable(
         out = pipeline_fn(ds)
         tmp_dir = shard_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
-        out.write_parquet(tmp_dir)
-        written = rd.read_parquet(tmp_dir)
+        written = read_written(write_dataset(out, tmp_dir))
         n_out = written.count()
         metrics = metrics_fn(written) if metrics_fn else {}
         shutil.rmtree(shard_dir, ignore_errors=True)

@@ -1700,8 +1700,8 @@ def q_events_watermark_windows(sf_dir: str):
 def q_events_funnel(sf_dir: str):
     """Ordered funnel (sequential-pattern operator): users who signed up,
     then clicked strictly after their first signup, then purchased strictly
-    after that first qualifying click. Fragment-merge monoid per sorted stream + vectorized
-    stage resolution; global counts are partial sums."""
+    after that first qualifying click. One sort by user, a forward scan
+    per user inside its block; global counts are per-block partial sums."""
     from vigil_ray.sources.readers import read_table
     from vigil_ray.stages.sessions import funnel_counts
 
@@ -2971,8 +2971,8 @@ def q_docs_snapshot_merge(sf_dir: str):
     recrawl dedup: union the base snapshot (v1) with a synthetic v2 recrawl
     of every 7th doc, keep ONE row per doc_id by max version. Ray shape:
     vectorized version explode → ``sorted_group_min`` argmax on version
-    (the keeper's payload rides the one global sort; the driver sees ≤2
-    boundary rows per block, never the corpus)."""
+    (the keeper's payload rides the one global sort; the driver sees no
+    rows)."""
     import pyarrow.compute as pc
 
     from vigil_ray.kernel.textstats import md5_hex
@@ -3216,8 +3216,8 @@ def q_events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type (streaming-shaped op as a
     grouped reduction over a derived window key; SURVEY.md §2.8).
 
-    Runs on ``corpus.sorted_group_agg`` (sort + vectorized per-run reduceat
-    + driver boundary merge) rather than a hash ``groupby().aggregate`` —
+    Runs on ``corpus.sorted_group_agg`` (sort + vectorized per-run
+    reduceat) rather than a hash ``groupby().aggregate`` —
     the window key space is bounded (hours × event types), so the sort sees
     one row per event but skips the per-group aggregate machinery; min/max
     merges are order-independent, so float values stay exact. Keys keep the
@@ -3499,10 +3499,9 @@ def q_dedup_canonical(sf_dir: str):
     bench=True,
 )
 def q_events_sessions(sf_dir: str):
-    """30-min-gap sessionization per user — one-sort fragment-merge
-    MONOID (stages/sessions.py): interior runs resolve in-block, each
-    block defers a constant-size boundary fragment, NO per-user collected
-    state anywhere."""
+    """30-min-gap sessionization per user (stages/sessions.py): one sort
+    by user leaves each user's events whole in one block, which resolves
+    its users in one map; NO per-user collected state anywhere."""
     from vigil_ray.sources.readers import read_table
     from vigil_ray.stages.sessions import sessionize
 
@@ -3962,7 +3961,7 @@ def q_events_user_mode_type(sf_dir: str):
     Arrow ``group_by`` per block, so the shuffle carries one row per distinct
     (user, type) pair — never the event stream) → ``sorted_group_sum`` exact
     merge → ``sorted_group_min`` per-user argmax on (n desc, type asc). No
-    per-group UDF, no driver state beyond ≤2 boundary rows per block."""
+    per-group UDF and no driver state."""
     import pyarrow.compute as pc
 
     from vigil_ray.sources.readers import read_table

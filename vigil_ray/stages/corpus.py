@@ -239,39 +239,30 @@ def sorted_group_min(
 ):
     """One row per distinct key: the row FIRST in the (key_cols + value_cols)
     sort order — the groupby-argmin/argmax primitive on the sorted-adjacency
-    shape (``runs.reduce_sorted_runs``): Ray's groupby aggregate pays
+    shape (``runs.map_sorted_runs``): Ray's groupby aggregate pays
     ~25 µs of machinery per group, a native sort does not.
 
     ``descending`` flags apply to the VALUE columns (keys always ascend), so
     e.g. ``descending=[True, False]`` on values (score, term) yields the
     per-key argmax-by-score with term tie-break.
 
-    Sorting makes each run's FIRST row its winner, so every run reduces to
-    a vectorized ``take(run_starts)``; the driver re-sorts the ≤2 deferred
-    candidate rows per block the same way and keeps each key's first."""
+    Ray sorts by the keys; each block orders its rows by the values too,
+    which makes each run's FIRST row its winner: a vectorized
+    ``take(run_starts)``."""
     from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import reduce_sorted_runs, run_starts
+    from vigil_ray.stages.runs import map_sorted_runs
 
     key_cols = list(key_cols)
     all_cols = key_cols + list(value_cols)
-    desc = [False] * len(key_cols) + list(
-        descending if descending is not None else [False] * len(value_cols)
+    desc = descending if descending is not None else [False] * len(value_cols)
+    order = [(c, "descending" if d else "ascending") for c, d in zip(value_cols, desc)]
+
+    def firsts(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+        return batch.select(all_cols).take(pa.array(starts, pa.int64()))
+
+    return map_sorted_runs(
+        coalesce_blocks(rows_ds), key_cols, value_cols, firsts, order=order
     )
-    order = [(c, "descending" if d else "ascending") for c, d in zip(all_cols, desc)]
-    # compact: a sort leaves empty blocks that map_batches passes through as
-    # zero-column join poison downstream (blocks.py); dropping them here is
-    # free (the sort already materialized)
-    ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(all_cols, descending=desc))
-
-    def firsts(batch: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
-        return batch.select(all_cols).take(pa.array(starts[runs], pa.int64()))
-
-    def best(deferred: pa.Table) -> pa.Table:
-        deferred = deferred.sort_by(order)
-        starts = run_starts(deferred, key_cols)
-        return firsts(deferred, starts, np.arange(len(starts)))
-
-    return reduce_sorted_runs(ds_sorted, key_cols, value_cols, firsts, best, firsts)
 
 
 def sorted_group_sum(rows_ds, key_cols: Sequence[str], sum_cols: Sequence[str]):
@@ -288,53 +279,39 @@ _AGG_REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
     """One row per distinct key with per-column reductions — the groupby
-    primitive on the sorted-adjacency shape (``runs.reduce_sorted_runs``):
+    primitive on the sorted-adjacency shape (``runs.map_sorted_runs``):
     a native sort + vectorized per-run ``np.{add,minimum,maximum}.reduceat``
-    replaces the ~25 µs/group machinery of a hash aggregate. The driver
-    combines the ≤2 deferred run partials per block by key with the same
-    op (an Arrow ``group_by`` over block-count-sized rows). With no
+    replaces the ~25 µs/group machinery of a hash aggregate. With no
     ``specs`` it is the distinct reduce: one row per distinct key.
 
     ``specs`` is a sequence of ``(col, op, out_name)`` with op in
     ``{"sum", "min", "max"}``; the same input col may appear under several
     ops/out names. ``sum`` takes integer columns only (``ValueError``
     otherwise) and accumulates int64, integer-exact — quantize float costs
-    first; ``min``/``max`` keep the column's native type (their
-    partial merge is order-independent, so floats are exact too).
+    first; ``min``/``max`` keep the column's native type.
     """
     from vigil_ray.stages.blocks import coalesce_blocks
-    from vigil_ray.stages.runs import np_col, reduce_sorted_runs, require_int_cols
+    from vigil_ray.stages.runs import map_sorted_runs, np_col, require_int_cols
 
     key_cols = list(key_cols)
     specs = [tuple(s) for s in specs]
     for _, op, _out in specs:
         if op not in _AGG_REDUCE:
             raise ValueError(f"sorted_group_agg: unknown op {op!r}")
-    ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(key_cols))  # see sorted_group_min
-    require_int_cols(ds_sorted, [c for c, op, _ in specs if op == "sum"], "sorted_group_agg")
+    rows_ds = coalesce_blocks(rows_ds)
+    require_int_cols(rows_ds, [c for c, op, _ in specs if op == "sum"], "sorted_group_agg")
 
-    def run_aggs(batch: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
-        out = batch.select(key_cols).take(pa.array(starts[runs], pa.int64()))
+    def run_aggs(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+        out = batch.select(key_cols).take(pa.array(starts, pa.int64()))
         for c, op, name in specs:
             arr = np_col(batch, c)
             typ = batch.column(c).type
             if op == "sum":
                 arr, typ = arr.astype(np.int64), pa.int64()
-            vals = _AGG_REDUCE[op].reduceat(arr, starts)[runs]
-            out = out.append_column(name, pa.array(vals, typ))
+            out = out.append_column(name, pa.array(_AGG_REDUCE[op].reduceat(arr, starts), typ))
         return out
 
-    def combine(deferred: pa.Table) -> pa.Table:
-        merged = deferred.group_by(key_cols, use_threads=False).aggregate(
-            [(name, op) for _, op, name in specs]
-        )
-        return merged.select(
-            key_cols + [f"{name}_{op}" for _, op, name in specs]
-        ).rename_columns(key_cols + [name for _, _, name in specs])
-
-    return reduce_sorted_runs(
-        ds_sorted, key_cols, [c for c, _, _ in specs], run_aggs, combine, run_aggs
-    )
+    return map_sorted_runs(rows_ds, key_cols, [c for c, _, _ in specs], run_aggs)
 
 
 # --------------------------------------------------------------------------
@@ -1483,7 +1460,7 @@ def chunk_dup_pairs(
 
     Distributed shape: explode to (fp, doc) rows with per-batch local
     distinct (a doc repeating a chunk contributes one row), then the same
-    sort + run-adjacency + boundary-reconciliation pair generator the LSH
+    sort + run-adjacency pair generator the LSH
     dedups use (``dedup.sorted_bucket_pairs`` — no per-group aggregate
     machinery, truncation counted and warned), then exact distinct pairs
     (:func:`sorted_group_agg` with no specs: a sort and one row per (a, b)

@@ -186,44 +186,39 @@ def _warn_truncated(stage: str, n_buckets: int, n_dropped: int) -> None:
 # --------------------------------------------------------------------------
 
 def sorted_bucket_pairs(rows_ds, key_cols, member_cols, pair_fn, max_bucket, stage):
-    """Candidate pairs from equal-key buckets via SORT + in-block adjacency +
-    driver-side boundary reconciliation (``runs.reduce_sorted_runs``) — the
-    scale-shape replacement for a per-group collect aggregate: Ray's sort
-    shuffle is vectorized native code (measured 0.13 s for 215k band rows
-    at sf0.1), while the groupby aggregate pays ~25 µs of per-group
-    machinery (measured 3.7–6.8 s over 156k buckets, Python accumulate or
-    not).
+    """Candidate pairs from equal-key buckets via SORT + in-block adjacency
+    (``runs.map_sorted_runs``) — the scale-shape replacement for a
+    per-group collect aggregate: Ray's sort shuffle is vectorized native
+    code (measured 0.13 s for 215k band rows at sf0.1), while the groupby
+    aggregate pays ~25 µs of per-group machinery (measured 3.7–6.8 s over
+    156k buckets, Python accumulate or not).
 
-    Each block defers its first and last run as (key, members capped to
-    ``max_bucket``, pre-cap run size) — ≤2 runs × ≤``max_bucket`` members
-    per block, never row-sized; the driver merges them by key, truncates
-    and emits their pairs, and each block emits its interior buckets'
-    pairs. A plain ``sort().materialize()`` pins the blocks, never a
-    coalesce: per-block pair work is heavy (``blocks.coalesce_blocks``).
+    The sort by key leaves each bucket whole in one block, so each block
+    truncates its buckets to ``max_bucket`` members and emits their pairs
+    in one map; a bucket's truncation is counted in the worker that holds
+    it. The sort input is never coalesced: per-block pair work is heavy
+    (``blocks.coalesce_blocks``).
 
     ``pair_fn(members)`` maps one bucket's sorted member tuples to (a, b)
     pairs. Returns a Dataset of candidate (a, b) rows (duplicates across
     bands possible — callers dedupe).
     """
-    from vigil_ray.stages.runs import reduce_sorted_runs
+    from vigil_ray.stages.runs import map_sorted_runs
 
-    key_cols = list(key_cols)
-    ds_sorted = rows_ds.sort(key_cols).materialize()
-
-    def run_members(batch: pa.Table, s: int, e: int) -> list:
-        cols = [batch.column(c).slice(s, e - s).to_pylist() for c in member_cols]
-        return sorted(zip(*cols))
-
-    def bucket_pairs(buckets) -> pa.Table:
-        """(a, b) rows of every (members, true size) bucket; the truncation
-        count is the true size minus the kept members."""
+    def bucket_pairs(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+        """(a, b) rows of every bucket of two or more members."""
+        ends = np.append(starts[1:], batch.num_rows)
+        cols = [batch.column(c) for c in member_cols]
         da, db = [], []
         n_trunc = n_dropped = 0
-        for members, size in buckets:
-            kept, _ = truncate_bucket(members, max_bucket)
-            if size > len(kept):
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            if e - s < 2:
+                continue
+            members = list(zip(*(c.slice(s, e - s).to_pylist() for c in cols)))
+            kept, dropped = truncate_bucket(members, max_bucket)
+            if dropped:
                 n_trunc += 1
-                n_dropped += size - len(kept)
+                n_dropped += dropped
             for a, b in pair_fn(kept):
                 da.append(a)
                 db.append(b)
@@ -231,41 +226,7 @@ def sorted_bucket_pairs(rows_ds, key_cols, member_cols, pair_fn, max_bucket, sta
             _warn_truncated(stage, n_trunc, n_dropped)
         return pa.table({"a": pa.array(da, pa.int64()), "b": pa.array(db, pa.int64())})
 
-    def boundary_runs(batch: pa.Table, starts, runs) -> pa.Table:
-        ends = np.append(starts[1:], batch.num_rows)[runs]
-        firsts = starts[runs]
-        out = batch.select(key_cols).take(pa.array(firsts, pa.int64()))
-        # cap per block: global top-max_bucket of per-block top-max_bucket
-        # equals the global top-max_bucket. The PRE-cap size ships too so
-        # the driver's drop count stays true.
-        members = [
-            run_members(batch, s, e)[:max_bucket]
-            for s, e in zip(firsts.tolist(), ends.tolist())
-        ]
-        out = out.append_column(
-            "members", pa.array(members, pa.list_(pa.list_(pa.int64())))
-        )
-        return out.append_column("run_size", pa.array(ends - firsts, pa.int64()))
-
-    def merge_runs(deferred: pa.Table) -> pa.Table:
-        buckets: dict = {}
-        for r in deferred.to_pylist():
-            acc = buckets.setdefault(tuple(r[c] for c in key_cols), [[], 0])
-            acc[0].extend(map(tuple, r["members"]))
-            acc[1] += r["run_size"]
-        return bucket_pairs(buckets.values())
-
-    def interior_pairs(batch: pa.Table, starts, runs) -> pa.Table:
-        ends = np.append(starts[1:], batch.num_rows)
-        return bucket_pairs(
-            (run_members(batch, s, e), e - s)
-            for s, e in zip(starts[runs].tolist(), ends[runs].tolist())
-            if e - s > 1
-        )
-
-    return reduce_sorted_runs(
-        ds_sorted, key_cols, member_cols, boundary_runs, merge_runs, interior_pairs
-    )
+    return map_sorted_runs(rows_ds, key_cols, member_cols, bucket_pairs)
 
 
 def minhash_lsh_pairs(

@@ -282,7 +282,7 @@ def pagerank(nodes_ds, edges_ds, iters: int = 3, total: int = 10**12,
     the edge list against the node-sized rank table (the shuffle carries
     (int64, int64) rows only — never text) plus one ``sorted_group_sum`` on
     dst and one left ``sorted_lookup_join`` back onto the node set — all
-    three are native sorts with the ≤2-rows-per-block edge-run merge
+    three are native sorts with one map over whole key runs
     (stages/runs.py), not hash joins: each Ray ``Dataset.join`` costs
     ~3 s of shuffle-pool machinery at sf0.1 (BASELINE.md) and this loop ran
     SEVEN of them in the earlier form. The static out-degree is attached

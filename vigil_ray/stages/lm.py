@@ -99,26 +99,25 @@ def corpus_bigram_ppl(ds, id_col: str = "doc_id", text_col: str = "text"):
     1. explode per-doc bigram counts E = (id, w1, w2, c); global unigram
        table U = (w1, n1) via ``sorted_group_sum`` (vocabulary-sized, stays
        distributed; V = its count is the one driver scalar);
-    2. ONE corpus-scale sort of E ∪ U by (w1, src, w2) — the sorted-adjacency
-       merge: inside each w1 run the U row leads (src=0) and its n1
-       propagates down the run; inside each (w1, w2) sub-run the global
-       bigram count n12 is the run-sum of c. Both attach in the same pass,
-       replacing the bi-table build + two hash joins of the earlier design
-       (each Ray join spins a shuffle-aggregator pool; measured ~3 s of
-       machinery per join at sf0.1 — the same ~25 µs/group tax
-       ``sorted_group_sum`` exists to avoid). Runs that straddle a block
-       edge defer ≤4 tiny rows per block (w1/n1 marker + partial c-sums) to
-       the driver, which reconciles and broadcasts the boundary dicts back —
-       never row-sized data;
+    2. ONE corpus-scale sort of E ∪ U by w1 (``runs.map_sorted_runs``) —
+       the sorted-adjacency merge: the sort leaves each w1 run whole in one
+       block, and the block orders it by (src, w2), so the U row leads
+       (src=0) and its n1 propagates down the run; inside each (w1, w2)
+       sub-run the global bigram count n12 is the run-sum of c. Both attach
+       in the same pass, replacing the bi-table build + two hash joins of
+       the earlier design (each Ray join spins a shuffle-aggregator pool;
+       measured ~3 s of machinery per join at sf0.1 — the same
+       ~25 µs/group tax ``sorted_group_sum`` exists to avoid). Nothing is
+       collected to the driver but V;
     3. per-row integer cost c·floor((ln(n1+V) − ln(n12+1))·1e6 + 0.5)
        (micro-nats) computed in the same pass, per-doc ``sorted_group_sum``,
        ppl = exp(mean).
 
     Output: (id, n_bigrams, ppl) for every doc with ≥2 words, ppl quantized
     half-up to 6 decimals."""
-    from vigil_ray.stages.blocks import compact_blocks
+    from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
     from vigil_ray.stages.corpus import sorted_group_sum
-    from vigil_ray.stages.runs import np_col, run_starts
+    from vigil_ray.stages.runs import map_sorted_runs, np_col, run_starts
 
     id_type = dict(zip(ds.schema().names, ds.schema().types))[id_col]
     rows = _doc_bigram_rows(ds, id_col, text_col)
@@ -156,116 +155,30 @@ def corpus_bigram_ppl(ds, id_col: str = "doc_id", text_col: str = "text"):
     combined = rows.map_batches(tag_rows, batch_format="pyarrow").union(
         uni.map_batches(tag_uni, batch_format="pyarrow")
     )
-    from vigil_ray.stages.blocks import coalesce_blocks
 
-    merged = compact_blocks(coalesce_blocks(combined).sort(["w1", "src", "w2"]))
-
-    # --- phase A: ≤4 boundary rows per block ------------------------------
-    def _empty_boundary() -> pa.Table:
-        return pa.table(
-            {
-                "kind": pa.array([], pa.int32()),
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "val": pa.array([], pa.int64()),
-                "known": pa.array([], pa.bool_()),
-            }
-        )
-
-    def _edge_idx(n_runs: int) -> list:
-        return [0] if n_runs == 1 else [0, n_runs - 1]
-
-    def boundary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_boundary()
-        src = np_col(batch, "src")
-        n1 = np_col(batch, "n1")
-        kinds, w1s, w2s, vals, knowns = [], [], [], [], []
-        w1_starts = run_starts(batch, ["w1"])
-        w1_vals = batch.column("w1")
-        for j in _edge_idx(len(w1_starts)):
-            s = int(w1_starts[j])
-            known = src[s] == 0
-            kinds.append(0)
-            w1s.append(w1_vals[s].as_py())
-            w2s.append("")
-            vals.append(int(n1[s]) if known else 0)
-            knowns.append(bool(known))
-        e_mask = src == 1
-        if e_mask.any():
-            eb = batch.filter(pa.array(e_mask))
-            e_starts = run_starts(eb, ["w1", "w2"])
-            sums = np.add.reduceat(
-                np_col(eb, "c").astype(np.int64), e_starts
-            )
-            for j in _edge_idx(len(e_starts)):
-                s = int(e_starts[j])
-                kinds.append(1)
-                w1s.append(eb.column("w1")[s].as_py())
-                w2s.append(eb.column("w2")[s].as_py())
-                vals.append(int(sums[j]))
-                knowns.append(True)
-        return pa.table(
-            {
-                "kind": pa.array(kinds, pa.int32()),
-                "w1": pa.array(w1s, pa.string()),
-                "w2": pa.array(w2s, pa.string()),
-                "val": pa.array(vals, pa.int64()),
-                "known": pa.array(knowns, pa.bool_()),
-            }
-        )
-
-    deferred = merged.map_batches(
-        boundary, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    n1_bound: dict = {}
-    n12_bound: dict = {}
-    for r in deferred:
-        if r["kind"] == 0:
-            if r["known"]:
-                n1_bound[r["w1"]] = r["val"]
-        else:
-            k = (r["w1"], r["w2"])
-            n12_bound[k] = n12_bound.get(k, 0) + r["val"]
-
-    # --- phase B: attach n1/n12 per run, emit per-row integer costs -------
-    def score(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], id_type),
-                "cost": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
+    def score(batch: pa.Table, w1_starts: np.ndarray) -> pa.Table:
+        """Per-row integer costs of one block's bigram rows: each w1 run's
+        n1 is its leading U row's (src 0), each (w1, w2) sub-run's n12 is
+        the sum of its c."""
         src = np_col(batch, "src")
         e_mask = src == 1
         if not e_mask.any():
-            return empty
-        n1_col = np_col(batch, "n1")
-        w1_starts = run_starts(batch, ["w1"])
+            return pa.table(
+                {
+                    id_col: pa.array([], id_type),
+                    "cost": pa.array([], pa.int64()),
+                    "c": pa.array([], pa.int64()),
+                }
+            )
         w1_lens = np.diff(np.append(w1_starts, batch.num_rows))
-        run_n1 = np.where(src[w1_starts] == 0, n1_col[w1_starts], -1)
-        for j in _edge_idx(len(w1_starts)):
-            key = batch.column("w1")[int(w1_starts[j])].as_py()
-            if key in n1_bound:
-                run_n1[j] = n1_bound[key]
-        row_n1 = np.repeat(run_n1, w1_lens)
+        run_n1 = np.where(src[w1_starts] == 0, np_col(batch, "n1")[w1_starts], -1)
+        n1_e = np.repeat(run_n1, w1_lens)[e_mask]
 
         eb = batch.filter(pa.array(e_mask))
-        n1_e = row_n1[e_mask]
         e_starts = run_starts(eb, ["w1", "w2"])
         e_lens = np.diff(np.append(e_starts, eb.num_rows))
         c_e = np_col(eb, "c").astype(np.int64)
-        run_n12 = np.add.reduceat(c_e, e_starts)
-        for j in _edge_idx(len(e_starts)):
-            s = int(e_starts[j])
-            run_n12[j] = n12_bound.get(
-                (eb.column("w1")[s].as_py(), eb.column("w2")[s].as_py()),
-                run_n12[j],
-            )
-        row_n12 = np.repeat(run_n12, e_lens)
+        row_n12 = np.repeat(np.add.reduceat(c_e, e_starts), e_lens)
 
         # inner semantics: a bigram whose prefix has no unigram row cannot
         # occur by construction (every prefix is a corpus token); drop
@@ -285,11 +198,14 @@ def corpus_bigram_ppl(ds, id_col: str = "doc_id", text_col: str = "text"):
             }
         )
 
-    per_doc = sorted_group_sum(
-        merged.map_batches(score, batch_format="pyarrow", batch_size=None),
-        [id_col],
-        ["cost", "c"],
+    scored = map_sorted_runs(
+        coalesce_blocks(combined),
+        ["w1"],
+        cols,
+        score,
+        order=[("src", "ascending"), ("w2", "ascending")],
     )
+    per_doc = sorted_group_sum(scored, [id_col], ["cost", "c"])
 
     def finish(batch: pa.Table) -> pa.Table:
         tot = batch.column("cost").combine_chunks().to_numpy(zero_copy_only=False)

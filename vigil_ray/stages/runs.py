@@ -1,31 +1,24 @@
 """Shared machinery for the sorted-adjacency operators: vectorized key-run
-detection over a sorted, pinned block, and the protocols built on it.
+detection over a sorted block, and the two helpers built on it.
 
-- :func:`reduce_sorted_runs` is the ONE implementation of the
-  boundary-deferral protocol (one output row per key run): each block
-  defers its first and last run, the driver merges them by key in one
-  collection, and a second pass emits the interior runs. Behind
-  ``dedup.sorted_bucket_pairs``, ``corpus.sorted_group_min``,
+- :func:`map_sorted_runs` sorts by the run key alone and maps every sorted
+  block once: Ray's range-partitioned sort never splits a run of equal
+  keys across blocks, so each block holds its runs whole and reduces or
+  fills them locally, with no driver collection and no second pass.
+  Behind ``dedup.sorted_bucket_pairs``, ``corpus.sorted_group_min``,
   ``corpus.sorted_group_agg`` (hence ``sorted_group_sum`` and the distinct
-  pair reduce of the dedup operators) and ``sessions.sessionize``.
-- :func:`fill_sorted_runs` is its per-ROW counterpart over the same
-  edge-run collection and merge: the merged edge runs are broadcast once
-  and a fill pass gives every row its run's value. Behind
-  ``sortmerge.sorted_attach`` and ``sortmerge.sorted_lookup_join``.
+  pair reduce of the dedup operators), ``sortmerge.sorted_attach``,
+  ``sortmerge.sorted_lookup_join``, ``sessions.sessionize``,
+  ``sessions.funnel_counts`` and ``lm.corpus_bigram_ppl``.
 - :func:`scan_sorted_blocks` is the ONE implementation of the block-carry
   scan (one output value per row, threaded across block boundaries) behind
   the window operators ``corpus.prefix_scan``, ``grouped_prefix_scan``,
   ``grouped_fill_forward``, ``grouped_shift`` and the
-  ``grouped_rolling_*`` pair.
+  ``grouped_rolling_*`` pair. Its sort includes the order columns, so a
+  key run may span blocks there and the carry is needed.
 
-Two sorted operators keep their own protocol. ``sessions.funnel_counts``
-emits one counts row per block, not rows per run, so it has no per-run
-output to merge. ``lm.corpus_bigram_ppl`` resolves two run levels from
-one sort; putting each level on a run protocol would add a second
-corpus-scale sort.
-
-Kept in one place so the invariants (run = maximal equal-key span; only a
-block's first/last run can straddle a boundary) have a single definition.
+Kept in one place so the invariant (run = maximal equal-key span, whole in
+one block after a sort by the key alone) has a single definition.
 """
 
 from __future__ import annotations
@@ -52,11 +45,12 @@ def run_starts(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def require_int_cols(ds_sorted, cols: Sequence[str], op: str) -> None:
+def require_int_cols(ds, cols: Sequence[str], op: str) -> None:
     """Raise ``ValueError`` naming the first of ``cols`` whose type in the
-    (materialized) sorted schema is not an integer: an int64 sum would
-    truncate it silently. An unknown schema (an empty input) passes."""
-    schema = ds_sorted.schema() if cols else None
+    schema of ``ds`` (a materialized dataset, or a lazy sort or repartition
+    of one: no execution) is not an integer: an int64 sum would truncate it
+    silently. An unknown schema (an empty input) passes."""
+    schema = ds.schema() if cols else None
     types = dict(zip(schema.names, schema.types)) if schema is not None else {}
     for c in cols:
         if c in types and not pa.types.is_integer(types[c]):
@@ -65,133 +59,52 @@ def require_int_cols(ds_sorted, cols: Sequence[str], op: str) -> None:
             )
 
 
-RunFn = Callable[[pa.Table, np.ndarray, np.ndarray], pa.Table]
-
-
-def _edge_runs(starts: np.ndarray) -> np.ndarray:
-    """The runs that can straddle a block boundary: the first and the last
-    (one run when the block is a single run, none when it is empty)."""
-    return np.unique([0, len(starts) - 1]) if len(starts) else starts
-
-
-def _merge_edge_runs(ds_sorted, key_cols, value_cols, partial: RunFn, merge):
-    """Steps 1-2 of both run protocols: every block's edge runs through
-    ``partial``, collected on the driver in one execution and merged by key.
-    Returns the merged table and whether any block had rows; with none, the
-    merge of a 0-row block typed from the sorted schema (int64 where it is
-    unknown: an empty sort drops it)."""
-
-    def deferred_runs(block: pa.Table) -> pa.Table:
-        starts = run_starts(block, key_cols)
-        return partial(block, starts, _edge_runs(starts))
-
-    # one execution, kept in Arrow so the merge sees the real column types
-    tables = [
-        t
-        for t in ds_sorted.map_batches(
-            deferred_runs, batch_format="pyarrow", batch_size=None
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-        if t.num_rows
-    ]
-    if tables:
-        return merge(pa.concat_tables(tables)), True
-    schema = ds_sorted.schema()
-    types = dict(zip(schema.names, schema.types)) if schema is not None else {}
-    cols = list(key_cols) + list(value_cols)
-    empty = pa.table({c: pa.array([], types.get(c, pa.int64())) for c in cols})
-    none = np.zeros(0, dtype=np.int64)
-    return merge(partial(empty, none, none)), False
-
-
-def reduce_sorted_runs(
-    ds_sorted,
+def map_sorted_runs(
+    ds,
     key_cols: Sequence[str],
-    value_cols: Sequence[str],
-    partial: RunFn,
-    merge: Callable[[pa.Table], pa.Table],
-    emit: RunFn,
+    cols: Sequence[str],
+    fn: Callable[[pa.Table, np.ndarray], pa.Table],
+    order: Sequence[Tuple[str, str]] = (),
 ):
-    """Reduce every equal-key run of a dataset SORTED by ``key_cols`` (and
-    pinned: materialized, so both passes see the same blocks) without a
-    per-group aggregate.
+    """Sort ``ds`` by ``key_cols`` alone and return ``fn(block, starts)`` of
+    every sorted block, in one map over complete key runs.
 
-    1. Each block defers its FIRST and LAST run, the only runs that can
-       straddle a block boundary: ``partial(block, starts, runs)`` returns
-       one row per listed run (key columns + the run's partial). The
-       deferred rows reach the driver in one collection — ≤2 rows per
-       block, never row-sized.
-    2. ``merge(deferred)`` combines the deferred partials by key (a run
-       spanning k blocks contributes k partials; the merge must not rely
-       on their order) into output rows.
-    3. A second pass over the same blocks emits each block's INTERIOR runs,
-       complete by construction: ``emit(block, starts, runs)``.
+    Ray's range-partitioned sort assigns each key range to exactly one
+    output block, so no run of equal ``key_cols`` ever straddles a block
+    boundary (the contract ``GroupedData.map_groups`` relies on too, pinned
+    by ``tests/test_sortmerge.py``). The sort is materialized and its empty
+    blocks are dropped (``blocks.compact_blocks``: the map would pass them
+    through as zero-column blocks). Inside a block, rows are ordered by
+    ``key_cols`` and then by ``order`` (Arrow ``sort_by`` keys, e.g.
+    ``[("ts", "ascending")]``); an order past the key stays out of Ray's
+    sort, which would then be free to split a key run. ``starts`` are the
+    block's run starts (:func:`run_starts`).
 
-    ``starts`` are the block's run starts (:func:`run_starts`), ``runs`` the
-    indices into it to handle. The output is the union of both. When every
-    block is empty the callables get a 0-row block typed from the sorted
-    schema and their typed empty output is returned. ``value_cols`` names
-    the other input columns the callables read.
+    When every block is empty, ``fn`` gets one 0-row block typed from the
+    sorted schema (``key_cols`` and ``cols`` as int64 where it is unknown:
+    an empty sort drops it) and its output is returned.
     """
     import ray.data as rd
 
-    key_cols = list(key_cols)
-    merged, found = _merge_edge_runs(ds_sorted, key_cols, value_cols, partial, merge)
-    if not found:
-        return rd.from_arrow(merged)
-
-    def interior_runs(block: pa.Table) -> pa.Table:
-        starts = run_starts(block, key_cols)
-        return emit(block, starts, np.arange(1, len(starts) - 1))
-
-    inner = ds_sorted.map_batches(
-        interior_runs, batch_format="pyarrow", batch_size=None
-    )
-    return rd.from_arrow(merged).union(inner)
-
-
-def fill_sorted_runs(
-    ds_sorted,
-    key_cols: Sequence[str],
-    value_cols: Sequence[str],
-    partial: RunFn,
-    merge: Callable[[pa.Table], pa.Table],
-    fill: Callable[[pa.Table, np.ndarray, pa.Table], pa.Table],
-):
-    """The per-ROW counterpart of :func:`reduce_sorted_runs`: every row
-    gets a value of its key's whole run, over the same edge-run collection.
-
-    Steps 1-2 are those of :func:`reduce_sorted_runs`; ``merge`` must
-    return ONE row per deferred key, with the columns and types of
-    ``partial``'s rows. The merged rows are broadcast once. A fill pass over
-    the same blocks then builds one value row per run, in run order:
-    ``partial(block, starts, all runs)``, with each edge run's row replaced
-    by its key's merged row (interior runs keep their local one), and
-    returns ``fill(block, starts, per_run)``.
-    """
-    import ray
+    from vigil_ray.stages.blocks import compact_blocks
 
     key_cols = list(key_cols)
-    merged, _ = _merge_edge_runs(ds_sorted, key_cols, value_cols, partial, merge)
-    keys = zip(*(merged.column(c).to_pylist() for c in key_cols))
-    merged_ref = ray.put((merged, {k: i for i, k in enumerate(keys)}))
+    sort_keys = [(c, "ascending") for c in key_cols] + list(order)
+    ds_sorted = compact_blocks(ds.sort(key_cols))
 
-    def fill_runs(block: pa.Table) -> pa.Table:
-        starts = run_starts(block, key_cols)
-        n_runs = len(starts)
-        local = partial(block, starts, np.arange(n_runs))
-        table, index = ray.get(merged_ref)
-        edges = _edge_runs(starts)
-        heads = pa.array(starts[edges], pa.int64())
-        edge_keys = zip(*(block.column(c).take(heads).to_pylist() for c in key_cols))
-        edge_rows = table.take(pa.array([index[k] for k in edge_keys], pa.int64()))
-        pick = np.arange(n_runs)
-        pick[edges] = n_runs + np.arange(len(edges))
-        per_run = pa.concat_tables(
-            [local, edge_rows.select(local.column_names)]
-        ).take(pa.array(pick, pa.int64()))
-        return fill(block, starts, per_run)
+    def runs(block: pa.Table) -> pa.Table:
+        if order:
+            block = block.sort_by(sort_keys)
+        return fn(block, run_starts(block, key_cols))
 
-    return ds_sorted.map_batches(fill_runs, batch_format="pyarrow", batch_size=None)
+    if ds_sorted.count():
+        return ds_sorted.map_batches(runs, batch_format="pyarrow", batch_size=None)
+    schema = ds_sorted.schema()
+    types = dict(zip(schema.names, schema.types)) if schema is not None else {}
+    for c in key_cols + list(cols):
+        types.setdefault(c, pa.int64())
+    empty = pa.table({c: pa.array([], t) for c, t in types.items()})
+    return rd.from_arrow(runs(empty))
 
 
 # summarize(block, starts) -> {name: 1-row array}; walk(summaries) -> one

@@ -7,26 +7,22 @@ native ``sort`` of the same rows is ~0.1 s. ``sorted_group_sum`` /
 ``sorted_group_min`` (stages/corpus.py) exploit that for GROUP outputs; the
 two primitives here exploit it for ROW outputs, replacing
 aggregate-then-join-back plans with one sort. Both sit on
-``runs.fill_sorted_runs``: each block defers its first and last key run,
-the driver merges them by key in one collection and broadcasts the merged
-rows once, and a fill pass gives every row its run's value (the merged one
-for edge runs, the local one for interior runs).
+``runs.map_sorted_runs``: a sort by the key alone leaves each key's run
+whole in one block, so one map gives every row its run's value.
 
 * :func:`sorted_attach` — append each key's global COUNT and/or integer
   SUMs to every row of the key's run (``COUNT/SUM OVER (PARTITION BY key)``
-  — the window-aggregate shape): per-run ``np.add.reduceat`` partials,
-  summed by key on the driver.
+  — the window-aggregate shape): per-run ``np.add.reduceat`` totals,
+  repeated over the run.
 * :func:`sorted_lookup_join` — inner- or left-join a unique-key lookup
   table into a row stream as a sort-merge: union both (lookup rows tagged
-  src=0 so the sort places each key's lookup row at its run head); a run's
-  value is its head row's, and every data row takes its run's value. The
-  lookup stays distributed — only the edge runs' values broadcast, so
-  (unlike the broadcast-map pattern) it is safe for vocabulary-/corpus-scale
-  lookups.
+  ``__src`` = 0); every data row takes the values of its run's lookup row,
+  and a run with two lookup rows raises ``ValueError``. The lookup stays
+  distributed — nothing is collected or broadcast, so (unlike the
+  broadcast-map pattern) it is safe for vocabulary-/corpus-scale lookups.
 
-Both consume the sorted Dataset twice (edge-run pass + fill pass); the sort
-has already materialized its output, so the second pass re-reads pinned
-blocks, not the lineage. Used by tf-idf and the prefix-filter dedup (df
+Each call runs one execution (the sort, materialized) plus the map that
+its consumer runs. Used by tf-idf and the prefix-filter dedup (df
 counts), PageRank, connected components and canonical docs (label and rank
 lookups), the dedup pair-text attach and the bigram PMI unigram lookups.
 """
@@ -38,13 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 import pyarrow as pa
 
-from vigil_ray.stages.blocks import coalesce_blocks, compact_blocks
-from vigil_ray.stages.runs import (
-    fill_sorted_runs,
-    np_col,
-    require_int_cols,
-    run_starts,
-)
+from vigil_ray.stages.blocks import coalesce_blocks
+from vigil_ray.stages.runs import map_sorted_runs, np_col, require_int_cols
 
 
 def sorted_attach(
@@ -67,35 +58,19 @@ def sorted_attach(
 
     # coalesce first: Ray sort fan-out is keyed on input block count, and a
     # fine-block layout (filter/union debris) costs seconds of scheduling
-    ds_sorted = compact_blocks(coalesce_blocks(rows_ds).sort(key_cols))
-    require_int_cols(ds_sorted, sum_cols, "sorted_attach")
+    rows_ds = coalesce_blocks(rows_ds)
+    require_int_cols(rows_ds, sum_cols, "sorted_attach")
 
-    def run_totals(block: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
+    def attach(block: pa.Table, starts: np.ndarray) -> pa.Table:
         lens = np.diff(np.append(starts, block.num_rows))
-        out = block.select(key_cols).take(pa.array(starts[runs], pa.int64()))
         for name, c in outs.items():
             vals = lens if c is None else np.add.reduceat(
                 np_col(block, c).astype(np.int64), starts
             )
-            out = out.append_column(name, pa.array(vals[runs], pa.int64()))
-        return out
-
-    def add(deferred: pa.Table) -> pa.Table:
-        merged = deferred.group_by(key_cols, use_threads=False).aggregate(
-            [(name, "sum") for name in outs]
-        )
-        return merged.select(
-            key_cols + [f"{name}_sum" for name in outs]
-        ).rename_columns(key_cols + list(outs))
-
-    def attach(block: pa.Table, starts: np.ndarray, per_run: pa.Table) -> pa.Table:
-        lens = np.diff(np.append(starts, block.num_rows))
-        for name in outs:
-            vals = np.repeat(np_col(per_run, name), lens)
-            block = block.append_column(name, pa.array(vals, pa.int64()))
+            block = block.append_column(name, pa.array(np.repeat(vals, lens), pa.int64()))
         return block
 
-    return fill_sorted_runs(ds_sorted, key_cols, sum_cols, run_totals, add, attach)
+    return map_sorted_runs(rows_ds, key_cols, sum_cols, attach)
 
 
 def sorted_lookup_join(
@@ -109,7 +84,8 @@ def sorted_lookup_join(
     (key_cols + value_cols): every row whose key exists in the lookup gains
     the value columns; rows with no match drop (``how="inner"``) or keep
     null values (``how="left"``). The lookup table stays distributed end to
-    end."""
+    end. A key with two lookup rows raises ``ValueError`` naming it when the
+    output is computed (in the worker that holds the key's run)."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     key_cols = list(key_cols)
@@ -169,36 +145,29 @@ def sorted_lookup_join(
             )
         )
     )
-    merged = compact_blocks(combined.sort(key_cols + ["__src"]))
 
-    def run_values(block: pa.Table, starts: np.ndarray, runs: np.ndarray) -> pa.Table:
-        """Each run's head row: the lookup row's values when the run has
-        one (``__known``), else the data row's null values."""
-        heads = starts[runs]
-        out = block.select(key_cols + value_cols).take(pa.array(heads, pa.int64()))
-        known = np_col(block, "__src")[heads] == 0
-        return out.append_column("__known", pa.array(known, pa.bool_()))
-
-    def known_first(deferred: pa.Table) -> pa.Table:
-        """One row per key: its lookup-row values if any block saw them."""
-        deferred = deferred.sort_by(
-            [(c, "ascending") for c in key_cols] + [("__known", "descending")]
-        )
-        return deferred.take(pa.array(run_starts(deferred, key_cols), pa.int64()))
-
-    def join_rows(block: pa.Table, starts: np.ndarray, per_run: pa.Table) -> pa.Table:
+    def join_rows(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        """Every data row takes its run's lookup row values (null where the
+        run has none); a run with two lookup rows raises."""
         lens = np.diff(np.append(starts, block.num_rows))
         run = np.repeat(np.arange(len(starts)), lens)
-        keep = np_col(block, "__src") == 1
+        src = np_col(block, "__src")
+        lk = np.flatnonzero(src == 0)
+        dup = np.flatnonzero(np.bincount(run[lk], minlength=len(starts)) > 1)
+        if len(dup):
+            key = block.select(key_cols).slice(int(starts[dup[0]]), 1).to_pylist()[0]
+            raise ValueError(f"sorted_lookup_join: lookup_ds has duplicate key {key}")
+        head = np.full(len(starts), -1)
+        head[run[lk]] = lk  # each run's lookup row, -1 for none
+        keep = src == 1
         if how == "inner":
-            keep &= np_col(per_run, "__known")[run]
+            keep &= head[run] >= 0
         sel = np.flatnonzero(keep)
         out = block.select(key_cols + payload_cols).take(pa.array(sel, pa.int64()))
-        run_of = pa.array(run[sel], pa.int64())
+        at = head[run[sel]]
+        at = pa.array(at, pa.int64(), mask=at < 0)  # a null index takes null
         for c in value_cols:
-            out = out.append_column(c, per_run.column(c).take(run_of))
+            out = out.append_column(c, block.column(c).take(at))
         return out
 
-    return fill_sorted_runs(
-        merged, key_cols, ["__src"] + value_cols, run_values, known_first, join_rows
-    )
+    return map_sorted_runs(combined, key_cols, ["__src"] + value_cols, join_rows)
