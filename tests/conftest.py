@@ -27,6 +27,40 @@ def char_lm_spec_score(lm, norm: str) -> float:
     return round(math.exp(-sum(lps) / len(lps)), 4)
 
 
+def top_ngram_char_frac_spec(words, n: int, total_chars: int) -> float:
+    """Chars of the most common word n-gram (``Counter.most_common``: a count
+    tie goes to the first-inserted gram) times its count, over
+    ``total_chars``; 0.0 when no n-gram repeats. ``words`` are lowered. The
+    spec of ``quality._ngram_fracs``' top-2 and top-3 fractions."""
+    from collections import Counter
+
+    if len(words) < n or total_chars == 0:
+        return 0.0
+    gram, count = Counter(zip(*(words[i:] for i in range(n)))).most_common(1)[0]
+    if count <= 1:
+        return 0.0
+    return round(count * sum(len(w) for w in gram) / total_chars, 6)
+
+
+def dup_ngram_char_frac_spec(words, n: int, word_lens, total_chars: int) -> float:
+    """Chars (``word_lens``) of the words inside any n-gram of ``words`` that
+    occurs more than once, each word counted once, over ``total_chars``. The
+    spec of ``quality._ngram_fracs``' dup-5 fraction."""
+    from collections import Counter
+
+    if len(words) < n or total_chars == 0:
+        return 0.0
+    grams = list(zip(*(words[i:] for i in range(n))))
+    counts = Counter(grams)
+    covered = [False] * len(words)
+    for i, g in enumerate(grams):
+        if counts[g] > 1:
+            covered[i : i + n] = [True] * n
+    if not any(covered):
+        return 0.0
+    return round(sum(l for l, c in zip(word_lens, covered) if c) / total_chars, 6)
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -272,3 +272,38 @@ class TestHtmlLineBreaks:
         # the synthesized-corpus round-trip invariant is untouched
         t = "Atenção. Meu CPF é 123.456.789-00 & <escapes>."
         assert extract_text(wrap_text(t)) == t
+
+
+class TestLinearTime:
+    """Pathological pages stay linear: best-of-3 at 80 KB is at most 6× the
+    20 KB time (quadratic growth gives about 16×)."""
+
+    @staticmethod
+    def _best(fn, arg):
+        import time
+
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn(arg)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    def _check(self, fn, make):
+        small, large = self._best(fn, make(20_000)), self._best(fn, make(80_000))
+        assert large <= 6 * small, (small, large)
+
+    def test_unclosed_tag_run(self):
+        from vigil_ray.kernel.html import extract_text
+
+        self._check(extract_text, lambda n: b"<" * n)
+
+    def test_email_local_run_without_domain(self):
+        from vigil_ray.kernel.detector import analyze_document
+
+        self._check(analyze_document, lambda n: "a." * (n // 2) + "@")
+
+    def test_email_local_run_with_bad_domain(self):
+        from vigil_ray.kernel.detector import analyze_document
+
+        self._check(analyze_document, lambda n: "a_b+c%" * (n // 6) + "@x")

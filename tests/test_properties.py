@@ -417,3 +417,143 @@ def test_normalize_ws_gate_differential(text):
     spec = P._CONTROL.sub("", spec)
     spec = P._WS_RUN.sub(" ", spec).strip()
     assert normalize_text(text) == spec
+
+
+# --- windowed scan ≡ whole-text scan ----------------------------------------
+# scan_document runs each digit pattern per digit window, each keyword pattern
+# at its keyword hits and RX_EMAIL once per '@'; find_contextual searches from
+# a family's first gate hit. The spec is the whole-text scan those replace:
+# every pattern's finditer over the full text, behind the same guards.
+
+
+def _scan_document_spec(text):
+    from vigil_ray.kernel import patterns as P
+
+    if not text:
+        return [], []
+    detections, spans = [], []
+    has_hyphen = "-" in text
+    low = fold_for_keywords(text)
+    n_digits = sum(m.end() - m.start() for m in P._DIGIT_RUNS.finditer(text))
+
+    def emit(d, key=None, seen=None):
+        spans.append(d)
+        if seen is None or key not in seen:
+            detections.append(d)
+            if seen is not None:
+                seen.add(key)
+
+    seen_cpf = set()
+    if has_hyphen and n_digits >= 11:
+        for rx, conf in ((P.RX_CPF_FMT, 0.95), (P.RX_CPF_PART, 0.90)):
+            for m in rx.finditer(text):
+                if not P._in_sei_window(text, m.start()):
+                    d = P.Detection("cpf", m.group(), conf, m.start(), m.end())
+                    emit(d, P._DIGITS_ONLY.sub("", m.group()), seen_cpf)
+    if n_digits >= 11 and "cpf" in low:
+        for m in P.RX_CPF_NUM.finditer(text):
+            if not P._in_not_cpf_window(text, m.start()):
+                emit(P.Detection("cpf", m.group(1), 0.90, m.start(1), m.end(1)))
+    for m in P.RX_EMAIL.finditer(text):
+        emit(P.Detection("email", m.group(), 0.95, m.start(), m.end()))
+    seen_phone = set()
+    for rx, conf in (
+        (P.RX_PHONE_PAREN, 0.95),
+        (P.RX_PHONE_INTL, 0.95),
+        (P.RX_PHONE_CTX, 0.90),
+        (P.RX_PHONE_BARE, 0.80),
+    ):
+        for m in rx.finditer(text):
+            digits = P._DIGITS_ONLY.sub("", m.group())
+            if len(digits) >= 10:
+                d = P.Detection("telefone", m.group(), conf, m.start(), m.end())
+                emit(d, digits, seen_phone)
+    for m in P.RX_RG.finditer(text):
+        emit(P.Detection("rg", m.group(), 0.85, m.start(), m.end()))
+    for m in P.RX_SSN.finditer(text):
+        emit(P.Detection("ssn", m.group(), 0.95, m.start(), m.end()))
+    seen_card = set()
+    for m in P.RX_CARD.finditer(text):
+        if P._card_accept(text, m):
+            d = P.Detection("cartao", m.group(), 0.95, m.start(), m.end())
+            emit(d, P._DIGITS_ONLY.sub("", m.group()), seen_card)
+    return detections, spans
+
+
+def _find_contextual_spec(text):
+    from vigil_ray.kernel import patterns as P
+
+    out = []
+    for tipo, label, conf, _gate, guards in P._CTX_FAMILIES:
+        for g in guards:
+            m = g.search(text)
+            if m:
+                out.append(P.Detection(tipo, label, conf, m.start(), m.end()))
+                break
+    return out
+
+
+# the IGNORECASE folds of [a-z] (U+212A Kelvin, U+017F long s, U+0130 İ,
+# U+0131 ı), Unicode Nd digits and word characters next to digits
+_FOLDS = ["\u212a", "\u017f", "\u0130", "\u0131", "k", "s", "i"]
+_ND = ["٣", "０", "९", "١٢"]
+_DIGIT_DENSE = st.lists(
+    st.sampled_from(
+        ["1", "12", "123", "1234", "12345", "99999", "4111", "0", " ", "  ",
+         ".", "-", "(", ")", "+", "+55", "/", "\t", "\n", "a", "x1", "1x",
+         "_", "é"] + _ND + _FOLDS
+    ),
+    max_size=24,
+).map("".join)
+_KEYWORD_DENSE = st.lists(
+    st.sampled_from(
+        ["tel", "TEL", "fone", "telefone", "cel", "celular", "contato",
+         "whats", "whatſapp", "zap", "cpf", "CPF", "Cpf", "rg", "RG", "rG",
+         ":", " ", ": ", "(61)", "61", "99999", "8888", "-", ".",
+         "12345678901", "123.456.789-00", "meu", "moro", "rua", "cep",
+         "NIS", "SEI", "x"] + _FOLDS
+    ),
+    max_size=16,
+).map("".join)
+# separators at both edges of a digit window, and '@' runs inside local-part
+# runs with and without a domain
+_WINDOW_EDGES = st.lists(
+    st.sampled_from(
+        ["(", ")", "+", "-", ".", " ", "1", "12", "123", "1234", "55",
+         "a", "_", "%", "@", "@@", "@x.com", "x.com", ".br", "b", "é"]
+        + _FOLDS
+        + _ND
+    ),
+    max_size=24,
+).map("".join)
+
+
+def _assert_scan_equal(text):
+    from vigil_ray.kernel import patterns as P
+
+    assert P.scan_document(text) == _scan_document_spec(text), text
+    assert P.find_contextual(text) == _find_contextual_spec(text), text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_DIGIT_DENSE)
+def test_windowed_scan_equals_whole_text_digit_dense(text):
+    _assert_scan_equal(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_KEYWORD_DENSE)
+def test_windowed_scan_equals_whole_text_keyword_dense(text):
+    _assert_scan_equal(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_WINDOW_EDGES)
+def test_windowed_scan_equals_whole_text_window_edges(text):
+    _assert_scan_equal(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTISH)
+def test_windowed_scan_equals_whole_text_arbitrary(text):
+    _assert_scan_equal(text)

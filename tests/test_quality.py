@@ -3,6 +3,8 @@ char-LM perplexity, HTML extraction, text stats."""
 
 import re
 
+from conftest import dup_ngram_char_frac_spec, top_ngram_char_frac_spec
+
 from vigil_ray.config import QualityConfig
 from vigil_ray.kernel.html import extract_text, wrap_text
 from vigil_ray.kernel.langid import classify
@@ -285,7 +287,7 @@ class TestWordProfileMemo:
             ), text
             assert got["has_stopword"] == (not Q._STOP_PROBE.isdisjoint(lowered)), text
             if words:
-                assert got["top2gram_frac"] == Q._top_ngram_char_frac(
+                assert got["top2gram_frac"] == top_ngram_char_frac_spec(
                     lowered, 2, sum(len(w) for w in words)
                 ), text
 
@@ -306,46 +308,9 @@ class TestWordProfileMemo:
 
 
 class TestNgramFracDifferential:
-    """The max(values)+first-match top-n-gram form and the dup-gram early
-    exit must equal the original Counter.most_common(1) spec exactly —
-    including the tie-break (heapq.nlargest breaks count ties by earliest
-    iteration position; Counter iterates in first-insertion order, so the
-    first items() entry at the max count is the same gram)."""
-
-    @staticmethod
-    def _top_spec(words, n, total_chars):
-        from collections import Counter
-
-        if len(words) < n:
-            return 0.0
-        if total_chars == 0:
-            return 0.0
-        grams = Counter(zip(*(words[i:] for i in range(n))))
-        gram, count = grams.most_common(1)[0]
-        if count <= 1:
-            return 0.0
-        return round(count * sum(len(w) for w in gram) / total_chars, 6)
-
-    @staticmethod
-    def _dup_spec(words, n, word_lens, total_chars):
-        from collections import Counter
-
-        if len(words) < n:
-            return 0.0
-        if total_chars == 0:
-            return 0.0
-        grams = list(zip(*(words[i:] for i in range(n))))
-        counts = Counter(grams)
-        covered = [False] * len(words)
-        any_dup = False
-        for i, g in enumerate(grams):
-            if counts[g] > 1:
-                covered[i : i + n] = [True] * n
-                any_dup = True
-        if not any_dup:
-            return 0.0
-        dup_chars = sum(l for l, c in zip(word_lens, covered) if c)
-        return round(dup_chars / total_chars, 6)
+    """quality._ngram_fracs (one integer-id rank per order in numpy) must
+    equal the Counter forms in conftest exactly, including the tie-break
+    (Counter.most_common gives a count tie to the first-inserted gram)."""
 
     def test_differential_tie_heavy(self):
         from hypothesis import given, settings
@@ -361,15 +326,59 @@ class TestNgramFracDifferential:
         @settings(max_examples=400, deadline=None)
         @given(st.lists(st.sampled_from(vocab), min_size=0, max_size=14))
         def check(words):
-            total = sum(len(w) for w in words)
-            for n in (2, 3):
-                assert Q._top_ngram_char_frac(words, n, total) == self._top_spec(
-                    words, n, total
-                ), (words, n)
             lens = [len(w) for w in words]
-            assert Q._dup_ngram_char_frac(words, 5, lens, total) == self._dup_spec(
-                words, 5, lens, total
-            ), words
+            total = sum(lens)
+            top2 = top_ngram_char_frac_spec(words, 2, total)
+            expected = (
+                (0.0, 0.0, 0.0)
+                if top2 == 0.0
+                else (
+                    top2,
+                    top_ngram_char_frac_spec(words, 3, total),
+                    dup_ngram_char_frac_spec(words, 5, lens, total),
+                )
+            )
+            assert Q._ngram_fracs(words, lens, total) == expected, words
+
+        check()
+
+    def test_lowered_lengths_and_unmemoized_words(self):
+        """The top-gram mass counts *lowered* lengths ('İ' lowers to two
+        chars), dup-5 and the total count the words' own; words past the
+        memo cap get the same id wherever they recur on the page."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from vigil_ray.kernel import words as W
+
+        vocab = ["\u0130", "i", "\u0130x", "\u0131s", "a", "bb", "\u212ak", "\u017f"]
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.lists(st.sampled_from(vocab), max_size=16),
+            st.integers(0, 10**9),
+        )
+        def check(words, salt):
+            fresh = [f"{w}{salt}q" if w in ("a", "bb") else w for w in words]
+            text = " ".join(fresh)
+            lowered = [w.lower() for w in fresh]
+            lens = [len(w) for w in fresh]
+            total = sum(lens)
+            old_cap = W._WORD_MEMO_CAP
+            W._WORD_MEMO_CAP = len(W._WORD_MEMO)  # full → fresh words unstored
+            try:
+                got = quality_features(text)
+            finally:
+                W._WORD_MEMO_CAP = old_cap
+            top2 = top_ngram_char_frac_spec(lowered, 2, total)
+            assert got["top2gram_frac"] == top2, text
+            if top2:
+                assert got["top3gram_frac"] == top_ngram_char_frac_spec(
+                    lowered, 3, total
+                ), text
+                assert got["dup5gram_frac"] == dup_ngram_char_frac_spec(
+                    lowered, 5, lens, total
+                ), text
 
         check()
 
@@ -419,6 +428,31 @@ class TestExtractGateDifferential:
         check()
 
 
+class TestTagSubDifferential:
+    """extract_text strips tags only up to the last '>' (every tag match
+    ends at one): equal to today's whole-text ``_TAG.sub`` on '<'/'>'-heavy
+    pages, including '<' runs after the last '>'."""
+
+    def test_differential_angle_heavy(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from vigil_ray.kernel import html as H
+
+        frags = ["<", ">", "<<", ">>", "<b>", "a<b", "x>y", "</p>", "<br>",
+                 " ", "\n", "texto", "&lt;", "<<<a", "é", "<\n>"]
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.lists(st.sampled_from(frags), max_size=12).map("".join))
+        def check(s):
+            k = s.rfind(">") + 1
+            assert H._TAG.sub("", s[:k]) + s[k:] == H._TAG.sub("", s), s
+            b = s.encode("utf-8")
+            assert extract_text(b) == TestExtractGateDifferential._extract_spec(b), s
+
+        check()
+
+
 class TestBigramGateDifferential:
     """quality_features' bigram-first gate (no repeated bigram ⇒ trigram and
     5-gram fractions are 0.0) must be invisible: the full feature dict
@@ -440,9 +474,9 @@ class TestBigramGateDifferential:
             lowered = [w.lower() for w in words]
             lens = [len(w) for w in words]
             total = sum(lens)
-            assert got["top2gram_frac"] == Q._top_ngram_char_frac(lowered, 2, total)
-            assert got["top3gram_frac"] == Q._top_ngram_char_frac(lowered, 3, total)
-            assert got["dup5gram_frac"] == Q._dup_ngram_char_frac(
+            assert got["top2gram_frac"] == top_ngram_char_frac_spec(lowered, 2, total)
+            assert got["top3gram_frac"] == top_ngram_char_frac_spec(lowered, 3, total)
+            assert got["dup5gram_frac"] == dup_ngram_char_frac_spec(
                 lowered, 5, lens, total
             ), text
 

@@ -64,6 +64,26 @@ class TestResumable:
         )
         assert total == pq.read_metadata(f"{SF}/documents.parquet").num_rows
 
+    def test_empty_shard_is_recorded_and_skipped(self, tmp_path):
+        """A shard whose pipeline keeps no rows writes no file; it is still
+        recorded (rows_out 0, empty shard dir) and a rerun skips it."""
+        from vigil_ray.pipelines.manifest import load_manifest, run_resumable
+
+        src = str(tmp_path / "three.parquet")
+        pq.write_table(pa.table({"x": [1, 2, 3]}), src)
+        out_dir = str(tmp_path / "out_empty")
+
+        def keep_none(ds):
+            return ds.filter(expr="x < 0")
+
+        stats = run_resumable([src], out_dir, keep_none)
+        assert stats == {"ran": 1, "skipped": 0, "total": 1}
+        (entry,) = load_manifest(out_dir).values()
+        assert (entry["rows_in"], entry["rows_out"]) == (3, 0)
+        assert os.listdir(entry["output_dir"]) == []
+        stats2 = run_resumable([src], out_dir, keep_none)
+        assert stats2 == {"ran": 0, "skipped": 1, "total": 1}
+
     def test_per_shard_metrics_in_manifest(self, sharded_input, tmp_path):
         from vigil_ray.pipelines.manifest import load_manifest, run_resumable
 

@@ -18,7 +18,11 @@ stopwords.
 import re
 
 import pyarrow as pa
-from conftest import char_lm_spec_score
+from conftest import (
+    char_lm_spec_score,
+    dup_ngram_char_frac_spec,
+    top_ngram_char_frac_spec,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,9 +76,9 @@ def _spec_quality_features(text):
         "symbol_to_word_ratio": round(n_symbols / n, 6),
         "alpha_word_frac": round(sum(1 for w in words if _LETTER.search(w)) / n, 6),
         "dup_line_frac": round(dup_line_frac, 6),
-        "top2gram_frac": Q._top_ngram_char_frac(lowered, 2, total),
-        "top3gram_frac": Q._top_ngram_char_frac(lowered, 3, total),
-        "dup5gram_frac": Q._dup_ngram_char_frac(lowered, 5, lens, total),
+        "top2gram_frac": top_ngram_char_frac_spec(lowered, 2, total),
+        "top3gram_frac": top_ngram_char_frac_spec(lowered, 3, total),
+        "dup5gram_frac": dup_ngram_char_frac_spec(lowered, 5, lens, total),
         "has_stopword": any(w in Q._STOP_PROBE for w in lowered),
     }
 

@@ -50,7 +50,10 @@ CONTEXTUAL_TYPES = frozenset({"contexto_1pessoa", "endereco", "contato"})
 # dots/hyphens alone ('RG--').
 import re as _re
 
-_CANDIDATE_CLASS = _re.compile(r"[\d@①-⓿０-９²³¹⁰-⁹₀-₉]")
+_CANDIDATE_NON_DIGIT = "@①-⓿０-９²³¹⁰-⁹₀-₉"
+_CANDIDATE_CLASS = _re.compile(rf"[\d{_CANDIDATE_NON_DIGIT}]")
+# the class without \d: analyze_document has already found the digits
+_CANDIDATE_OTHER = _re.compile(f"[{_CANDIDATE_NON_DIGIT}]")
 _CANDIDATE_WORDS = (
     "nome", "chamo", "cidad", "requerente", "solicitante", "servidor",
     "funcion", "cpf", "portador",
@@ -64,11 +67,14 @@ def could_have_pii(raw_text: str) -> bool:
         return False
     if _CANDIDATE_CLASS.search(raw_text) is not None:
         return True
-    low = fold_for_keywords(raw_text)
+    return _keyword_candidate(raw_text, fold_for_keywords(raw_text))
+
+
+def _keyword_candidate(text: str, low: str) -> bool:
     for w in _CANDIDATE_WORDS:
         if w in low:
             return True
-    return "rg" in low and _CANDIDATE_RG.search(raw_text) is not None
+    return "rg" in low and _CANDIDATE_RG.search(text) is not None
 
 
 def empty_result() -> Dict[str, Any]:
@@ -182,15 +188,24 @@ def analyze_document(
     clean = normalize_text(raw_text)
     if not clean:
         return empty_result(), clean
-    if not could_have_pii(clean):
+    # one fold and one digit pass serve the prefilter and every scan; a
+    # digit is a candidate character, so could_have_pii(clean) is
+    # `windows or` the rest of its class and its keyword probes
+    low = fold_for_keywords(clean)
+    windows = patterns.digit_windows(clean)
+    if not (
+        windows
+        or _CANDIDATE_OTHER.search(clean) is not None
+        or _keyword_candidate(clean, low)
+    ):
         # normalized text already carries any NFKC-surfaced digits
         return empty_result(), clean
-    detections, spans = patterns.scan_document(clean)
+    detections, spans = patterns.scan_document(clean, low, windows)
     names = find_names_heuristic(clean)
     found = detections + names
     if not found:
         return empty_result(), clean
-    found.extend(patterns.find_contextual(clean))
+    found.extend(patterns.find_contextual(clean, low))
     result = build_result(found)
     if not result["contem_pii"]:
         return result, clean

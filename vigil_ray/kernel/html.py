@@ -45,7 +45,11 @@ def extract_text(html_bytes: bytes) -> str:
     if "</" in raw:
         raw = _BLOCK_CLOSE.sub("\n", raw)
     if "<" in raw:
-        raw = _TAG.sub("", raw)
+        # every tag match ends at a '>', so none lies past the last one:
+        # substituting only up to it is exact, and each '<' after it no
+        # longer scans to the end of the page (quadratic on '<' runs)
+        k = raw.rfind(">") + 1
+        raw = _TAG.sub("", raw[:k]) + raw[k:]
     if "&" in raw:
         raw = _htmlmod.unescape(raw)
     if "\n" not in raw:

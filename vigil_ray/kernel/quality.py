@@ -10,13 +10,19 @@ per-document, so it stays a stateless ``map_batches`` member of the flagship
 pipeline with no shuffle.
 
 All features are plain floats so the rule gate is reproducible and cheap to
-evaluate both here and in an SQL oracle (where expressible).
+evaluate both here and in an SQL oracle (where expressible). The three
+n-gram fractions come from one exact integer pass in numpy
+(:func:`_ngram_fracs`); their ``Counter`` definitions are the spec in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from vigil_ray.config import QualityConfig
 from vigil_ray.kernel.words import HAS_ALPHA, LENGTH, LOWER, Word, words_of
@@ -64,18 +70,7 @@ def quality_features(text: str, words: Optional[List[Word]] = None) -> Dict[str,
             dup_lines = sum(c - 1 for c in line_counts.values() if c > 1)
             dup_line_frac = dup_lines / len(lines)
 
-    # bigram-first repetition probe: a repeated n-gram for any n > 2
-    # contains a repeated bigram (its first word pair recurs at the same
-    # offset), so when NO bigram repeats the trigram and 5-gram fractions
-    # are provably 0.0 and their Counter builds are skipped (~half of web
-    # documents measured; differential-pinned against the unconditional
-    # spec in tests/test_quality.py).
-    top2 = _top_ngram_char_frac(lowered, 2, total_word_chars)
-    if top2 == 0.0:
-        top3 = dup5 = 0.0
-    else:
-        top3 = _top_ngram_char_frac(lowered, 3, total_word_chars)
-        dup5 = _dup_ngram_char_frac(lowered, 5, word_lens, total_word_chars)
+    top2, top3, dup5 = _ngram_fracs(lowered, word_lens, total_word_chars)
 
     return {
         "n_chars": len(text),
@@ -91,66 +86,91 @@ def quality_features(text: str, words: Optional[List[Word]] = None) -> Dict[str,
     }
 
 
-def _ngrams(words: List[str], n: int) -> List[Tuple[str, ...]]:
-    # zip-of-shifts builds tuples in C
-    return list(zip(*(words[i:] for i in range(n))))
+# words whose bigrams are probed for a repeat before the whole page's are
+_HEAD_WORDS = 128
 
 
-def _top_ngram_char_frac(words: List[str], n: int, total_chars=None) -> float:
-    """Chars covered by the single most common word n-gram / total word chars
-    (Gopher's "fraction of characters in most common n-gram")."""
-    if len(words) < n:
-        return 0.0
-    if total_chars is None:
-        total_chars = sum(len(w) for w in words)
-    if total_chars == 0:
-        return 0.0
-    # Counter consumes the zip iterator directly — no intermediate list.
-    # max(values) + first-match scan ≡ most_common(1)[0]: heapq.nlargest
-    # breaks count ties by earliest iteration position, and Counter iterates
-    # in first-insertion order, so scanning items() for the first gram at the
-    # max count picks the same gram (differential-pinned with tie-heavy
-    # inputs in tests/test_quality.py). Most documents have no repeated
-    # n-gram at all (59% measured), so the count<=1 early exit skips the
-    # items() walk entirely.
-    grams = Counter(zip(*(words[i:] for i in range(n))))
-    count = max(grams.values())
-    if count <= 1:
-        return 0.0
-    gram = next(g for g, c in grams.items() if c == count)
-    return round(count * sum(len(w) for w in gram) / total_chars, 6)
+def _ngram_fracs(
+    lowered: List[str], word_lens: List[int], total_chars: int
+) -> Tuple[float, float, float]:
+    """``(top2gram_frac, top3gram_frac, dup5gram_frac)`` of one page.
+
+    - top-n: chars of the single most common word n-gram times its count,
+      over the page's word chars (Gopher's "fraction of characters in most
+      common n-gram"). A count tie goes to the gram that occurs first, and
+      its chars are the lengths of its *lowered* words.
+    - dup-5: chars of the words inside any 5-gram that occurs more than
+      once, each word counted once, over the page's word chars (Gopher's
+      "fraction of characters in duplicated n-grams"), by the words' own
+      lengths.
+    - A fraction is 0.0 when no n-gram repeats.
+
+    Exact integer arithmetic in numpy, no hashing. A word's id is the
+    position of its first occurrence on the page. An n-gram's id is the rank
+    of a pair of smaller ids: bigram ``(w_i, w_i+1)``, trigram
+    ``(bigram_i, w_i+2)``, 5-gram ``(trigram_i, bigram_i+3)``. Every id is
+    below ``n``, so a pair key ``a * n + b`` fits in int64. One argsort per
+    order gives each gram's count and first position.
+
+    A repeated n-gram for any n > 2 contains a repeated bigram, so when the
+    top-2 fraction is 0.0 all three are 0.0 and the longer grams are not
+    counted. A page with no repeated bigram is found first with C-level set
+    builds, which keeps numpy's fixed cost off the many short pages where
+    nothing repeats: the bigrams of the first ``_HEAD_WORDS`` words, and of
+    the whole page only when the head repeats none. A long page nearly
+    always repeats a bigram early, so it hashes the head alone. The Counter forms these equal are
+    ``top_ngram_char_frac_spec`` / ``dup_ngram_char_frac_spec`` in
+    tests/conftest.py."""
+    n = len(lowered)
+    if n < 2 or total_chars == 0:
+        return 0.0, 0.0, 0.0
+    head = lowered[:_HEAD_WORDS]
+    if len(set(zip(head, head[1:]))) == len(head) - 1 and (
+        n <= _HEAD_WORDS or len(set(zip(lowered, lowered[1:]))) == n - 1
+    ):
+        return 0.0, 0.0, 0.0
+    first: Dict[str, int] = {}
+    w = np.fromiter(map(first.setdefault, lowered, count()), np.int64, n)
+    bi, bi_count, bi_first = _rank(w[:-1] * n + w[1:])
+    top2 = _top_frac(bi_count, bi_first, lowered, 2, total_chars)
+    if top2 == 0.0 or n < 3:
+        return top2, 0.0, 0.0
+    tri, tri_count, tri_first = _rank(bi[:-1] * n + w[2:])
+    top3 = _top_frac(tri_count, tri_first, lowered, 3, total_chars)
+    if n < 5:
+        return top2, top3, 0.0
+    five, five_count, _ = _rank(tri[:-2] * n + bi[3:])
+    starts = np.flatnonzero(five_count[five] > 1)
+    if not len(starts):
+        return top2, top3, 0.0
+    edges = np.zeros(n + 1, np.int64)
+    edges[starts] += 1
+    edges[starts + 5] -= 1
+    covered = np.cumsum(edges[:n]) > 0
+    dup_chars = int(np.array(word_lens, np.int64)[covered].sum())
+    return top2, top3, round(dup_chars / total_chars, 6)
 
 
-def _dup_ngram_char_frac(
-    words: List[str], n: int, word_lens=None, total_chars=None
-) -> float:
-    """Chars inside word n-grams that occur more than once / total word chars
-    (Gopher's "fraction of characters in duplicated n-grams"), counting each
-    word position at most once via span marking."""
-    if len(words) < n:
+def _rank(keys):
+    """``(rank of each key, count per rank, first position per rank)``;
+    ranks number the distinct keys in sorted order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.empty(len(keys), bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    rank = np.empty(len(keys), np.int64)
+    rank[order] = np.cumsum(head) - 1
+    heads = np.flatnonzero(head)
+    return rank, np.diff(heads, append=len(keys)), np.minimum.reduceat(order, heads)
+
+
+def _top_frac(counts, firsts, lowered, n, total_chars) -> float:
+    top = int(counts.max())
+    if top <= 1:
         return 0.0
-    if word_lens is None:
-        word_lens = [len(w) for w in words]
-    if total_chars is None:
-        total_chars = sum(word_lens)
-    if total_chars == 0:
-        return 0.0
-    grams = _ngrams(words, n)
-    counts = Counter(grams)
-    # no gram repeats (85% of web documents measured) → the cover-marking
-    # walk would set nothing; max(values) <= 1 is the same condition
-    if max(counts.values()) <= 1:
-        return 0.0
-    covered = [False] * len(words)
-    any_dup = False
-    for i, g in enumerate(grams):
-        if counts[g] > 1:
-            covered[i : i + n] = [True] * n
-            any_dup = True
-    if not any_dup:
-        return 0.0
-    dup_chars = sum(l for l, c in zip(word_lens, covered) if c)
-    return round(dup_chars / total_chars, 6)
+    at = int(firsts[counts == top].min())  # the earliest of the tied grams
+    return round(top * sum(map(len, lowered[at : at + n])) / total_chars, 6)
 
 
 def quality_rules(

@@ -65,7 +65,10 @@ def run_resumable(
     ``metrics_fn(output_dataset) -> dict`` (optional) computes per-shard
     metrics (docs kept, PII counts, ...) recorded in the shard's manifest
     row — the per-partition metrics lineage of SURVEY.md §4; global stats are
-    then a sum over manifest rows, no second pass over the data.
+    then a sum over manifest rows, no second pass over the data. A shard
+    whose pipeline keeps no rows is recorded with ``rows_out`` 0, an empty
+    shard directory and empty ``metrics`` (``metrics_fn`` is not called), so
+    a rerun skips it like any other.
     """
     import ray.data as rd
 
@@ -94,9 +97,16 @@ def run_resumable(
         out = pipeline_fn(ds)
         tmp_dir = shard_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
-        written = read_written(write_dataset(out, tmp_dir))
-        n_out = written.count()
-        metrics = metrics_fn(written) if metrics_fn else {}
+        written = write_dataset(out, tmp_dir)
+        if written.paths:
+            back = read_written(written)
+            n_out = back.count()
+            metrics = metrics_fn(back) if metrics_fn else {}
+        else:
+            # no row kept: the sink wrote no file and no directory, so the
+            # shard is recorded as an empty directory with no metrics
+            os.makedirs(tmp_dir, exist_ok=True)
+            n_out, metrics = 0, {}
         shutil.rmtree(shard_dir, ignore_errors=True)
         os.replace(tmp_dir, shard_dir)
         _append_manifest(

@@ -80,6 +80,9 @@ def map_sorted_runs(
     sort, which would then be free to split a key run. ``starts`` are the
     block's run starts (:func:`run_starts`).
 
+    An exception ``fn`` raises keeps its type on the driver (the flag is on
+    the returned Dataset's context, so maps chained on it keep theirs too).
+
     When every block is empty, ``fn`` gets one 0-row block typed from the
     sorted schema (``key_cols`` and ``cols`` as int64 where it is unknown:
     an empty sort drops it) and its output is returned.
@@ -98,7 +101,11 @@ def map_sorted_runs(
         return fn(block, run_starts(block, key_cols))
 
     if ds_sorted.count():
-        return ds_sorted.map_batches(runs, batch_format="pyarrow", batch_size=None)
+        out = ds_sorted.map_batches(runs, batch_format="pyarrow", batch_size=None)
+        # an error ``fn`` raises reaches the caller as its own type (a
+        # ValueError stays catchable as one), not as Ray's UserCodeException
+        out.context.raise_original_map_exception = True
+        return out
     schema = ds_sorted.schema()
     types = dict(zip(schema.names, schema.types)) if schema is not None else {}
     for c in key_cols + list(cols):
