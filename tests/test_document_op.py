@@ -173,3 +173,63 @@ class TestFusedPoisonPage:
         out = DocumentOp(PipelineConfig(), ("quality", "detect", "toxicity"))(batch)
         assert out.column("is_toxic").to_pylist()[0] is True
         assert out.column("drop_reasons").to_pylist()[0] == [QUALITY_ERROR, "toxicity"]
+
+
+class TestColumnwiseQualityPoison:
+    """The quality part runs each kernel over the whole batch before the
+    next one. A page on which any of them raises gets ``quality_error`` and
+    null quality columns, the toxicity part still scores it, and every
+    other page's row is the row of a batch without that page."""
+
+    KERNELS = ("words_of", "score_toxicity", "score", "quality_features", "classify", "quality_rules")
+    QUALITY_COLS = ("lang_pred", "lang_score", "ppl", *document_mod._FEATURES)
+    TOXIC = "idiota estúpido idiota " * 6
+
+    def _batch(self, poison: int) -> pa.Table:
+        rows = _batch().drop_columns(["html"]).to_pylist()
+        rows.insert(poison, dict(rows[0], url="toxic", text=self.TOXIC))
+        return pa.Table.from_pylist(rows)
+
+    @pytest.mark.parametrize("poison", [0, 3])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_poison_page(self, monkeypatch, kernel, poison):
+        cfg = PipelineConfig()
+        batch = self._batch(poison)
+        clean = DocumentOp(cfg)(batch)
+        without = DocumentOp(cfg)(pa.concat_tables([batch.slice(0, poison), batch.slice(poison + 1)]))
+        poison_feats = document_mod.quality_features(self.TOXIC)
+
+        def poisoned(real):
+            def fn(*args):
+                if kernel == "quality_rules":
+                    hit = args[0] == poison_feats
+                else:  # the quality part passes the words; the toxicity part does not
+                    hit = args[0] == self.TOXIC and (kernel != "score_toxicity" or len(args) == 4)
+                if hit:
+                    raise ValueError("boom")
+                return real(*args)
+
+            return fn
+
+        if kernel == "score":
+            model = document_mod.default_model()
+
+            class Model:
+                score = staticmethod(poisoned(model.score))
+
+            monkeypatch.setattr(document_mod, "default_model", lambda: Model)
+        else:
+            monkeypatch.setattr(document_mod, kernel, poisoned(getattr(document_mod, kernel)))
+        out = DocumentOp(cfg)(batch)
+
+        assert out.schema == clean.schema
+        row, ref = out.slice(poison, 1).to_pylist()[0], clean.slice(poison, 1).to_pylist()[0]
+        assert row["keep"] is False
+        assert row["drop_reasons"] == [QUALITY_ERROR, "toxicity"]
+        for col in self.QUALITY_COLS:
+            assert row[col] is None, col
+        assert ref["is_toxic"] is True
+        for col in ("n_tox", "tox_ratio", "is_toxic", "text_scrubbed", "contem_pii", "confianca"):
+            assert row[col] == ref[col], col
+        others = pa.concat_tables([out.slice(0, poison), out.slice(poison + 1)])
+        assert others.equals(without)

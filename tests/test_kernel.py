@@ -298,6 +298,21 @@ class TestLinearTime:
 
         self._check(extract_text, lambda n: b"<" * n)
 
+    def test_unclosed_script_run(self):
+        from vigil_ray.kernel.html import extract_text
+
+        self._check(extract_text, lambda n: b"<script>" * (n // 8))
+
+    def test_script_run_with_closer_of_another_name(self):
+        from vigil_ray.kernel.html import extract_text
+
+        self._check(extract_text, lambda n: b"<script>" * (n // 8) + b"</style>")
+
+    def test_script_run_without_gt(self):
+        from vigil_ray.kernel.html import extract_text
+
+        self._check(extract_text, lambda n: b"<script " * (n // 8))
+
     def test_email_local_run_without_domain(self):
         from vigil_ray.kernel.detector import analyze_document
 

@@ -415,7 +415,7 @@ def test_normalize_ws_gate_differential(text):
 
     spec = unicodedata.normalize("NFKC", text)
     spec = P._CONTROL.sub("", spec)
-    spec = P._WS_RUN.sub(" ", spec).strip()
+    spec = re.sub(r"\s+", " ", spec).strip()
     assert normalize_text(text) == spec
 
 
@@ -557,3 +557,237 @@ def test_windowed_scan_equals_whole_text_window_edges(text):
 @given(TEXTISH)
 def test_windowed_scan_equals_whole_text_arbitrary(text):
     _assert_scan_equal(text)
+
+
+# --- C-level probes that prove a whole-page scan empty ----------------------
+# normalize_text, digit_windows, the PII prefilter and classify replace class
+# regex scans with str.isprintable(), str.split() and, on a Latin-1 page,
+# str.find / `in` probes. Each replacement rests on a fact about code points,
+# checked here over all of them.
+
+_ALL_CODE_POINTS = "".join(
+    chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF
+)
+_LATIN1 = "".join(map(chr, range(0x100)))
+
+
+def test_printable_code_points_are_in_no_normalize_class():
+    from vigil_ray.kernel import preprocess as P
+
+    printable = "".join(c for c in _ALL_CODE_POINTS if c.isprintable())
+    assert P._CONTROL.search(printable) is None
+    assert P._NONSPACE_WS.search(printable) is None
+
+
+def test_regex_space_is_str_isspace():
+    """``\\s`` ≡ ``str.isspace``, the set split() and strip() use, so the
+    ``\\s+`` collapse is ``" ".join(v.split())``."""
+    spaces = _re.findall(r"\s", _ALL_CODE_POINTS)
+    assert spaces == [c for c in _ALL_CODE_POINTS if c.isspace()]
+
+
+def test_latin1_classes():
+    from vigil_ray.kernel import detector as D
+    from vigil_ray.kernel.langid import _ANY_SCRIPT
+
+    assert "".join(_re.findall(r"\d", _LATIN1)) == "0123456789"
+    assert _ANY_SCRIPT.search(_LATIN1) is None
+    assert "".join(D._CANDIDATE_OTHER.findall(_LATIN1)) == "".join(sorted(D._LATIN1_OTHER))
+    assert sorted(D._CANDIDATE_CLASS.findall(_LATIN1)) == sorted(D._LATIN1_CLASS)
+
+
+def test_is_latin1():
+    from vigil_ray.kernel.preprocess import is_latin1
+
+    assert is_latin1("") and is_latin1(_LATIN1)
+    assert not is_latin1("aĀ") and not is_latin1("\ud800") and not is_latin1("ſ")
+
+
+_LATIN1_TEXT = st.text(
+    alphabet=st.sampled_from(list("0123456789 .-()+@²³¹aZé\xa0\n")), max_size=60
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LATIN1_TEXT)
+def test_digit_windows_latin1_probe_equals_whole_pass(text):
+    from unittest import mock
+
+    from vigil_ray.kernel import patterns as P
+
+    got = P.digit_windows(text)
+    # the spec: the \d+ pass runs over the whole page
+    with mock.patch.object(P, "is_latin1", lambda _text: False):
+        assert got == P.digit_windows(text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_LATIN1_TEXT, TEXTISH, st.text(max_size=30)))
+def test_classify_latin1_skip_is_invisible(text):
+    from unittest import mock
+
+    from vigil_ray.kernel import langid as L
+
+    got = L.classify(text)
+    # the spec: the script scan runs on every page
+    with mock.patch.object(L, "is_latin1", lambda _text: False):
+        assert got == L.classify(text), text
+
+
+# --- one keyword index per page ---------------------------------------------
+
+
+def _index_spec(low):
+    from vigil_ray.kernel.preprocess import KEYWORDS
+
+    out = {}
+    for w in KEYWORDS:
+        p = low.find(w)
+        while p != -1:
+            out.setdefault(w, []).append(p)
+            p = low.find(w, p + 1)
+    return out
+
+
+# the folds re.IGNORECASE makes (İ ı ſ K), keywords that overlap or nest
+# (fone/telefone, cel/celular, apt/apartamento, resido/residente), and
+# non-Latin-1 filler
+_KEYWORDISH = st.lists(
+    st.sampled_from(
+        ["fone", "telefone", "tel", "cel", "celular", "apt", "apartamento",
+         "resido", "residente", "rg", "r", "g", "cpf", "nome", "meu", "minha",
+         "sou", "whats", "zap", "contato", "cep", "rua", "lote", "bloco",
+         "quadra", "conjunto", "avenida", "moro", "chamo", "cidad",
+         "requerente", "solicitante", "servidor", "funcion", "portador",
+         "İ", "ı", "ſ", "K", "ж", "中", "é", " ", "x", "TEL", "CPF",
+         "ſou", "telefonefone", "ap", "te", "ce"]
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_KEYWORDISH, TEXTISH, st.text(max_size=2)))
+def test_keyword_index_equals_find_loops(text):
+    from vigil_ray.kernel.preprocess import keyword_index
+
+    for page in (text, fold_for_keywords(text), text + "rg", text + "cep", text[-3:]):
+        assert keyword_index(page) == _index_spec(page), page
+
+
+def test_keyword_index_short_and_edge_pages():
+    from vigil_ray.kernel.preprocess import keyword_index
+
+    for page in ("", "r", "rg", "ce", "cep", "xcep", "xrg", "\ud800cep", "ж" * 2 + "rg"):
+        assert keyword_index(page) == _index_spec(page), page
+
+
+def test_keyword_index_covers_every_consumer_word():
+    from vigil_ray.kernel import detector as D
+    from vigil_ray.kernel import names as N
+    from vigil_ray.kernel import patterns as P
+    from vigil_ray.kernel.preprocess import KEYWORDS
+
+    used = set(D._CANDIDATE_WORDS) | set(N._ANY_CONTEXT_WORDS) | set(P._PHONE_CTX_WORDS)
+    used |= {"rg", "cpf", "portador"}
+    used |= {w for gate, _rx, _pre in N._STRONG_CONTEXTS for w in gate}
+    used |= {w for fam in P._CTX_FAMILIES for w in fam[3]}
+    assert used == set(KEYWORDS) and len(KEYWORDS) == len(set(KEYWORDS)) == 32
+    # the index finds words of three or more characters from their first
+    # three; "rg" is the one shorter word and has its own 2-gram probe
+    assert [w for w in KEYWORDS if len(w) < 3] == ["rg"]
+
+
+def _leading_literals(pattern, flags=0):
+    """Every literal a match of ``pattern`` can start with: the literal run
+    at its start, expanded over each branch of the alternations in it (the
+    parser factors a common prefix out of an alternation)."""
+    parser = _re._parser
+
+    def expand(items):
+        # [(literal prefix, whether it spans all of items)]
+        out = [("", True)]
+        for op, av in items:
+            if op is parser.LITERAL:
+                subs = [(chr(av), True)]
+            elif op is parser.SUBPATTERN:
+                subs = expand(list(av[-1]))
+            elif op is parser.BRANCH:
+                subs = [x for branch in av[1] for x in expand(list(branch))]
+            else:
+                subs = [("", False)]
+            out = [
+                (p + q, done) if whole else (p, False)
+                for p, whole in out
+                for q, done in (subs if whole else [("", False)])
+            ]
+        return out
+
+    lits = sorted({p for p, _ in expand(list(parser.parse(pattern, flags)))})
+    assert all(lits), pattern
+    return lits
+
+
+def test_ctx_guards_start_on_their_family_gate_words():
+    """find_contextual tries each guard only at its family's gate hits: every
+    guard match must start with one of the family's gate words."""
+    from vigil_ray.kernel.patterns import _CTX_FAMILIES
+
+    for _tipo, _label, _conf, gate_words, guards in _CTX_FAMILIES:
+        for g in guards:
+            for lit in _leading_literals(g.pattern, g.flags):
+                assert any(lit.lower().startswith(w) for w in gate_words), (g.pattern, lit)
+
+
+def test_leading_literals_reads_alternations():
+    assert _leading_literals(r"(?:fone|telefone)\s*x") == ["fone", "telefone"]
+    assert _leading_literals(r"CEP[:\s]*\d") == ["CEP"]
+    assert _leading_literals(r"(?:sou|chamo-me|nome\s+é)\s+") == ["chamo-me", "nome", "sou"]
+    assert _leading_literals(r"(?:meu|minha)\s+x") == ["meu", "minha"]
+    assert _leading_literals(r"(?:apt\.?|lote)\s+") == ["apt", "lote"]
+
+
+def _names_spec(text):
+    """find_names_heuristic without any gate or prefilter: every template's
+    whole-text finditer."""
+    from vigil_ray.kernel import names as N
+
+    out, seen = [], set()
+    for _gate, rx, _pre in N._STRONG_CONTEXTS:
+        for m in rx.finditer(text):
+            name = N.clean_name(m.group(1).strip())
+            if name and N.is_valid_person_name(name):
+                key = name.lower()
+                if key not in seen:
+                    out.append(N.Detection("nome", name, 0.80, m.start(1), m.end(1)))
+                    seen.add(key)
+    return out
+
+
+# keyword-dense pages for the name templates and the contextual families:
+# every gate word, the names' title and separator shapes, and the folds
+_NAMES_CTX_DENSE = st.lists(
+    st.sampled_from(
+        ["meu nome é ", "nome: ", "me chamo ", "chamo-me ", "CPF: 123.456.789-00, ",
+         ", portador", " CPF", "cidadão ", "cidadã: ", "requerente ", "solicitante: ",
+         "servidora ", "funcionário ", "Maria Silva", "João de Souza", "Dr. Ana Lima",
+         "Ministério Público", "sou ", "minha ", "meu CPF ", "moro na ", "resido em ",
+         "residente em ", "rua ", "Apt. ", "apartamento ", "CEP: 70000-000",
+         "WhatsApp: (61) 9", "zap 9", "fone: 9", "telefone 6", "celular (6",
+         "cel", ", ", " ", "x", "ſ", "İ", "ı", "K", "NOME", "Sou "]
+    ),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_NAMES_CTX_DENSE)
+def test_indexed_names_and_contextual_equal_whole_text(text):
+    from vigil_ray.kernel import names as N
+    from vigil_ray.kernel import patterns as P
+
+    assert N.find_names_heuristic(text) == _names_spec(text), text
+    assert P.find_contextual(text) == _find_contextual_spec(text), text
+    clean = normalize_text(text)
+    assert N.find_names_heuristic(clean) == _names_spec(clean), clean
+    assert P.find_contextual(clean) == _find_contextual_spec(clean), clean

@@ -453,6 +453,36 @@ class TestTagSubDifferential:
         check()
 
 
+class TestScriptStyleDifferential:
+    """extract_text drops script/style/head blocks in linear time; equal to
+    the ``_SCRIPT_STYLE.sub`` it replaces on pages mixing case, names nested in
+    each other, closers of another name, unclosed openers and the
+    characters re.IGNORECASE folds into the names' letters."""
+
+    def test_differential_block_heavy(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from vigil_ray.kernel import html as H
+
+        frags = ["<script>", "<SCRIPT a=1>", "<Script\n>", "<style>", "<STYLE>",
+                 "<head>", "<HEAD x>", "<header>", "<scripts>", "<script-x>",
+                 "</script>", "</SCRIPT >", "</Script\n>", "</style>", "</STYLE\t>",
+                 "</head>", "</HEAD  >", "</heads>", "</scrip>", "<ſcript>",
+                 "</ſcript>", "<scrİpt>", "</scrİpt>", "</scrıpt>", "<ſtyle>",
+                 "</ſtyle>", "<script", "<style ", "x", "é", ">", "<", "</", " ",
+                 "\n", "<p>", "</p>", "texto"]
+
+        @settings(max_examples=800, deadline=None)
+        @given(st.lists(st.sampled_from(frags), max_size=14).map("".join))
+        def check(s):
+            assert H._drop_script_style(s) == H._SCRIPT_STYLE.sub(" ", s), s
+            b = s.encode("utf-8")
+            assert extract_text(b) == TestExtractGateDifferential._extract_spec(b), s
+
+        check()
+
+
 class TestBigramGateDifferential:
     """quality_features' bigram-first gate (no repeated bigram ⇒ trigram and
     5-gram fractions are 0.0) must be invisible: the full feature dict

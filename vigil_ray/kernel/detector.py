@@ -25,7 +25,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from vigil_ray.kernel import patterns
 from vigil_ray.kernel.names import find_names_heuristic
 from vigil_ray.kernel.patterns import Detection
-from vigil_ray.kernel.preprocess import fold_for_keywords, normalize_text
+from vigil_ray.kernel.preprocess import (
+    fold_for_keywords,
+    is_latin1,
+    keyword_index,
+    normalize_text,
+)
 
 REAL_PII_TYPES = frozenset({"cpf", "email", "telefone", "rg", "nome", "ssn", "cartao"})
 CONTEXTUAL_TYPES = frozenset({"contexto_1pessoa", "endereco", "contato"})
@@ -39,10 +44,12 @@ CONTEXTUAL_TYPES = frozenset({"contexto_1pessoa", "endereco", "contato"})
 # The spec is one IGNORECASE alternation regex (kept as ``_CANDIDATE`` in
 # tests/test_properties.py and differentially tested there); it costs
 # ~62 µs/doc and runs on EVERY document of the corpus. This decomposition is
-# ~6 µs: a case-free character-class scan, then C-speed literal `in` probes
-# over one fold_for_keywords() copy (exactly re.IGNORECASE-equivalent for
-# ASCII literals — see preprocess.py), then the lone word-boundary case as a
-# guarded regex. The digit class needs no IGNORECASE: its only cased members
+# a case-free character-class scan (on a Latin-1 page, where the class is
+# exactly 0-9@²³¹, C `in` probes instead), then lookups in the page's
+# keyword index over one fold_for_keywords() copy (exactly
+# re.IGNORECASE-equivalent for ASCII literals — see preprocess.py), then the
+# lone word-boundary case as one regex match per "rg" hit. The digit class
+# needs no IGNORECASE: its only cased members
 # (the circled-alphanumeric block ①-⓿ spans Ⓐ-Ⓩ/ⓐ-ⓩ) include both cases
 # already. The 'cpf'/'portador' words cover the '(name)[,\s]+(?:CPF|portador)'
 # template, which can fire on a digit-free doc ('Maria Silva, portador'); the
@@ -54,6 +61,10 @@ _CANDIDATE_NON_DIGIT = "@①-⓿０-９²³¹⁰-⁹₀-₉"
 _CANDIDATE_CLASS = _re.compile(rf"[\d{_CANDIDATE_NON_DIGIT}]")
 # the class without \d: analyze_document has already found the digits
 _CANDIDATE_OTHER = _re.compile(f"[{_CANDIDATE_NON_DIGIT}]")
+# the two classes on a Latin-1 page (pinned over U+0000-U+00FF in
+# tests/test_properties.py)
+_LATIN1_OTHER = "@²³¹"
+_LATIN1_CLASS = "0123456789" + _LATIN1_OTHER
 _CANDIDATE_WORDS = (
     "nome", "chamo", "cidad", "requerente", "solicitante", "servidor",
     "funcion", "cpf", "portador",
@@ -65,16 +76,19 @@ def could_have_pii(raw_text: str) -> bool:
     """False ⇒ :func:`detect_pii` provably returns the empty result."""
     if not raw_text:
         return False
-    if _CANDIDATE_CLASS.search(raw_text) is not None:
-        return True
-    return _keyword_candidate(raw_text, fold_for_keywords(raw_text))
-
-
-def _keyword_candidate(text: str, low: str) -> bool:
-    for w in _CANDIDATE_WORDS:
-        if w in low:
+    if is_latin1(raw_text):
+        if any(c in raw_text for c in _LATIN1_CLASS):
             return True
-    return "rg" in low and _CANDIDATE_RG.search(text) is not None
+    elif _CANDIDATE_CLASS.search(raw_text) is not None:
+        return True
+    return _keyword_candidate(raw_text, keyword_index(fold_for_keywords(raw_text)))
+
+
+def _keyword_candidate(text: str, index) -> bool:
+    if any(w in index for w in _CANDIDATE_WORDS):
+        return True
+    # a \brg\b match starts on an "rg" hit
+    return any(_CANDIDATE_RG.match(text, p) for p in index.get("rg", ()))
 
 
 def empty_result() -> Dict[str, Any]:
@@ -116,9 +130,11 @@ def detect_pii(
     clean = normalize_text(text)
     if not clean:
         return empty_result()
-    found: List[Detection] = patterns.find_structured(clean)
+    low = fold_for_keywords(clean)
+    index = keyword_index(low)
+    found: List[Detection] = patterns.scan_document(clean, index)[0]
     if extra_name_detections is None:
-        found.extend(find_names_heuristic(clean))
+        found.extend(find_names_heuristic(clean, low, index))
     else:
         found.extend(extra_name_detections)
     # contextual signals are metadata-only: build_result drops them unless a
@@ -126,7 +142,7 @@ def detect_pii(
     # exact-semantics short-circuit
     if not found:
         return empty_result()
-    found.extend(patterns.find_contextual(clean))
+    found.extend(patterns.find_contextual(clean, index))
     return build_result(found)
 
 
@@ -188,24 +204,29 @@ def analyze_document(
     clean = normalize_text(raw_text)
     if not clean:
         return empty_result(), clean
-    # one fold and one digit pass serve the prefilter and every scan; a
-    # digit is a candidate character, so could_have_pii(clean) is
-    # `windows or` the rest of its class and its keyword probes
+    # one fold, one keyword index and one digit pass serve the prefilter and
+    # every scan; a digit is a candidate character, so could_have_pii(clean)
+    # is `windows or` the rest of its class and its keyword lookups
     low = fold_for_keywords(clean)
+    index = keyword_index(low)
     windows = patterns.digit_windows(clean)
     if not (
         windows
-        or _CANDIDATE_OTHER.search(clean) is not None
-        or _keyword_candidate(clean, low)
+        or (
+            any(c in clean for c in _LATIN1_OTHER)
+            if is_latin1(clean)
+            else _CANDIDATE_OTHER.search(clean) is not None
+        )
+        or _keyword_candidate(clean, index)
     ):
         # normalized text already carries any NFKC-surfaced digits
         return empty_result(), clean
-    detections, spans = patterns.scan_document(clean, low, windows)
-    names = find_names_heuristic(clean)
+    detections, spans = patterns.scan_document(clean, index, windows)
+    names = find_names_heuristic(clean, low, index)
     found = detections + names
     if not found:
         return empty_result(), clean
-    found.extend(patterns.find_contextual(clean, low))
+    found.extend(patterns.find_contextual(clean, index))
     result = build_result(found)
     if not result["contem_pii"]:
         return result, clean

@@ -19,6 +19,8 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from vigil_ray.kernel.preprocess import is_latin1
+
 if TYPE_CHECKING:
     from vigil_ray.kernel.words import Word
 
@@ -97,7 +99,8 @@ def classify(text: str, words: Optional[List[Word]] = None) -> Tuple[str, float]
     if not text:
         return ("und", 0.0)
     n_chars = len(text)
-    if _ANY_SCRIPT.search(text) is not None:
+    # no script character is below U+0100: a Latin-1 page skips the scan
+    if not is_latin1(text) and _ANY_SCRIPT.search(text) is not None:
         kana = len(_KANA.findall(text))
         cjk = len(_CJK.findall(text))
         cyr = len(_CYRILLIC.findall(text))

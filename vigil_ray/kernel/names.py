@@ -24,12 +24,12 @@ from typing import List
 from vigil_ray.config import NER_MAX_CHARS
 from vigil_ray.kernel.exclusions import is_institutional_name
 from vigil_ray.kernel.patterns import Detection
-from vigil_ray.kernel.preprocess import fold_for_keywords
+from vigil_ray.kernel.preprocess import fold_for_keywords, keyword_hits, keyword_index
 
 _NAME_WORD = r"[A-Z][a-záàâãéêíóôõúç]+"
 _FULL_NAME = _NAME_WORD + r"(?:\s+(?:de|da|do|das|dos|e)?\s*" + _NAME_WORD + r"){1,5}"
 
-def _tail_keyword_anchored(low: str) -> bool:
+def _tail_keyword_anchored(low: str, index=None) -> bool:
     """Necessary condition for the ``NAME[,\\s]+(?:CPF|portador)`` template
     (the one grammar whose FIRST element is the backtracking name chain — an
     unanchored leading group makes ``finditer`` try the chain at every
@@ -48,32 +48,34 @@ def _tail_keyword_anchored(low: str) -> bool:
     separator / word classes under IGNORECASE, so the probe can only
     over-fire — False proves ``finditer`` yields nothing, True falls through
     to the original scan. Pinned by the template-gate superset differential
-    and the prefilter-free rerun differential in tests/test_properties.py."""
-    for kw in ("cpf", "portador"):
-        q = low.find(kw)
-        while q != -1:
-            i = q
-            while i > 0 and (low[i - 1] == "," or low[i - 1].isspace()):
-                i -= 1
-            if i < q:  # ≥1 separator char
-                j = i
-                while j > 0 and low[j - 1].isalpha():
-                    j -= 1
-                if i - j >= 2:  # last name word is [A-Z][a-z…]+ → ≥2 letters
-                    k = j
-                    while k > 0 and low[k - 1].isspace():
-                        k -= 1
-                    if k < j and k > 0 and low[k - 1].isalpha():
-                        return True
-            q = low.find(kw, q + 1)
+    and the prefilter-free rerun differential in tests/test_properties.py.
+    The keyword occurrences come from ``index`` (``keyword_index(low)``,
+    built here when not given)."""
+    if index is None:
+        index = keyword_index(low)
+    for q in keyword_hits(index, ("cpf", "portador")):
+        i = q
+        while i > 0 and (low[i - 1] == "," or low[i - 1].isspace()):
+            i -= 1
+        if i < q:  # ≥1 separator char
+            j = i
+            while j > 0 and low[j - 1].isalpha():
+                j -= 1
+            if i - j >= 2:  # last name word is [A-Z][a-z…]+ → ≥2 letters
+                k = j
+                while k > 0 and low[k - 1].isspace():
+                    k -= 1
+                if k < j and k > 0 and low[k - 1].isalpha():
+                    return True
     return False
 
 
 # Each grammar is paired with a cheap literal pre-gate: the grammar can only
-# match when its anchor keyword occurs, and probing ASCII literals with `in`
-# against one fold_for_keywords() copy is ~100× cheaper than the bounded name
-# chain with IGNORECASE backtracking (rx 4 alone costs ~540 µs/doc ungated)
-# and ~30× cheaper than an IGNORECASE alternation search. fold containment is
+# match when its anchor keyword occurs, and looking ASCII literals up in the
+# page's keyword index (preprocess.keyword_index over one fold_for_keywords()
+# copy) is far cheaper than the bounded name chain with IGNORECASE
+# backtracking (rx 4 alone costs ~540 µs/doc ungated) or an IGNORECASE
+# alternation search. fold containment is
 # exactly re.IGNORECASE-equivalent for ASCII literals (preprocess.py); the
 # first gate weakens r"meu\s+nome" to "meu" (a strict superset — gates are
 # pure optimizations, any superset is sound). Never changes which documents
@@ -100,7 +102,7 @@ _STRONG_CONTEXTS = tuple(
     )
 )
 
-# union of every per-template gate: one folded-containment pass rejects all 7
+# union of every per-template gate: one index lookup pass rejects all 7
 # templates at once on keyword-free documents (most of a web corpus).
 _ANY_CONTEXT_WORDS = (
     "nome", "chamo", "cpf", "portador", "cidad", "requerente",
@@ -130,17 +132,26 @@ def is_valid_person_name(name: str) -> bool:
     return not is_institutional_name(name.strip())
 
 
-def find_names_heuristic(text: str) -> List[Detection]:
-    """Strong-context name detection @0.80, case-insensitive dedup."""
-    low = fold_for_keywords(text)
-    if not any(w in low for w in _ANY_CONTEXT_WORDS):
+def find_names_heuristic(text: str, low=None, index=None) -> List[Detection]:
+    """Strong-context name detection @0.80, case-insensitive dedup.
+
+    The union gate, the per-template gates and the tail-keyword prefilter
+    read the page's keyword index instead of probing the folded page once
+    per word. A caller that has them passes ``low``
+    (``fold_for_keywords(text)``) and ``index`` (``keyword_index(low)``);
+    they are built here otherwise."""
+    if low is None:
+        low = fold_for_keywords(text)
+    if index is None:
+        index = keyword_index(low)
+    if not any(w in index for w in _ANY_CONTEXT_WORDS):
         return []
     out: List[Detection] = []
     seen: set = set()
     for gate_words, rx, pre in _STRONG_CONTEXTS:
-        if not any(w in low for w in gate_words):
+        if not any(w in index for w in gate_words):
             continue
-        if pre is not None and not pre(low):
+        if pre is not None and not pre(low, index):
             continue
         for m in rx.finditer(text):
             name = clean_name(m.group(1).strip())

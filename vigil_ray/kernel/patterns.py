@@ -30,9 +30,11 @@ matches as a whole-text ``finditer`` (:func:`scan_document` gives the
 proofs): digit patterns per window of digit runs joined by ``[\\s.()+-]``
 gaps, from one character before the first digit to one past the last (the
 ``endpos`` margin that lets a trailing lookahead or ``\\b`` read the real
-next character); keyword patterns with one ``match`` per keyword hit in the
-``fold_for_keywords`` copy; ``RX_EMAIL`` with one ``match`` per ``@``; and
-each contextual family from its first gate-word hit. A page costs what its
+next character); keyword patterns and each contextual family's regexes
+with one ``match`` per keyword hit of the page's one keyword index
+(``preprocess.keyword_index``); ``RX_EMAIL`` with one ``match`` per ``@``.
+On a Latin-1 page the digit pass runs only between the first and the last
+ASCII digit. A page costs what its
 digits, keywords and ``@`` signs hold, not its length times the pattern
 count, and a long local-part run before an ``@`` stays linear.
 
@@ -46,7 +48,12 @@ from __future__ import annotations
 import re
 from typing import List, NamedTuple, Tuple
 
-from vigil_ray.kernel.preprocess import fold_for_keywords
+from vigil_ray.kernel.preprocess import (
+    fold_for_keywords,
+    is_latin1,
+    keyword_hits,
+    keyword_index,
+)
 
 
 class Detection(NamedTuple):
@@ -63,6 +70,7 @@ class Detection(NamedTuple):
 
 _DIGITS_ONLY = re.compile(r"\D")
 _DIGIT_RUNS = re.compile(r"\d+")
+_ASCII_DIGITS = "0123456789"
 # the non-digit characters of a digit-pattern match (see digit_windows)
 _DIGIT_SEP = re.compile(r"[\s.()+-]*")
 
@@ -156,13 +164,12 @@ RX_NOT_CPF_GUARDS = (
 )
 
 # --- contextual-signal families (metadata only) -----------------------------
-# Each family carries a literal pre-gate (first tuple slot after conf): the
-# family regexes can only match when one of the anchor literals occurs. The
-# gate is a tuple of ASCII-lowercase literals probed with `in` against ONE
-# shared fold_for_keywords() copy — exactly re.IGNORECASE-equivalent (see
-# preprocess.py; pinned by tests/test_properties.py's gate differential) and
-# ~30× cheaper than an IGNORECASE alternation search per family. Never
-# changes which documents match.
+# Each family carries its gate words (first tuple slot after conf): every
+# family regex starts on one of them, so find_contextual tries each regex
+# only at the family's hits in the page's keyword index (ASCII-lowercase
+# literals over the fold_for_keywords() copy — exactly re.IGNORECASE, see
+# preprocess.py; pinned by tests/test_properties.py's gate differential and
+# its leading-literal check). Never changes which documents match.
 _CTX_FAMILIES = (
     (
         "contexto_1pessoa",
@@ -302,11 +309,25 @@ def digit_windows(text: str) -> List[Tuple[int, int, int]]:
     ``RX_PHONE_INTL``) and ends one character past its last digit, so the
     character after the chain is in the window (see :func:`scan_document`).
     ``n_digits`` counts the chain's ``\\d`` characters (Unicode Nd, the class
-    the patterns use)."""
+    the patterns use).
+
+    On a Latin-1 page (:func:`~vigil_ray.kernel.preprocess.is_latin1`) the
+    only ``\\d`` characters are ``0-9``, so the pass runs from the first to
+    one past the last of them, found with C ``str.find``/``str.rfind``, and
+    a page without one has no windows."""
+    if is_latin1(text):
+        first = [p for p in map(text.find, _ASCII_DIGITS) if p != -1]
+        if not first:
+            return []
+        runs = _DIGIT_RUNS.finditer(
+            text, min(first), max(map(text.rfind, _ASCII_DIGITS)) + 1
+        )
+    else:
+        runs = _DIGIT_RUNS.finditer(text)
     out: List[Tuple[int, int, int]] = []
     n = len(text)
     lo = hi = nd = reach = -1
-    for m in _DIGIT_RUNS.finditer(text):
+    for m in runs:
         s, e = m.span()
         if s == reach:  # the gap since the chain's last run is all separators
             hi, nd = e, nd + e - s
@@ -326,18 +347,6 @@ def _in_windows(rx, text, windows, need):
     for lo, end, nd in windows:
         if nd >= need:
             yield from rx.finditer(text, lo, end)
-
-
-def _hits(low: str, words) -> List[int]:
-    """Every start of any of ``words`` in ``low``, in order."""
-    out: List[int] = []
-    for w in words:
-        p = low.find(w)
-        while p != -1:
-            out.append(p)
-            p = low.find(w, p + 1)
-    out.sort()
-    return out
 
 
 def _at_hits(rx, text, hits):
@@ -374,7 +383,7 @@ def _emails(text):
         at = text.find("@", at + 1)
 
 
-def scan_document(text, low=None, windows=None):
+def scan_document(text, index=None, windows=None):
     """One pass over every structured pattern -> ``(detections, scrub_spans)``.
 
     ``detections`` is exactly :func:`find_structured` (reference dedup rules,
@@ -399,10 +408,12 @@ def scan_document(text, low=None, windows=None):
       match read the real next character. A window with fewer digits than
       a kept match needs (11 CPF, 10 phone, 9 SSN, 13 card) is skipped.
     - Keyword patterns (context phone, CPF numeric, RG). A match starts on
-      a keyword, found with ``str.find`` on the length-preserving
-      ``fold_for_keywords`` copy (exactly ``re.IGNORECASE`` for ASCII
-      keywords). Each hit at or past the last match's end, in order, gets
-      one ``rx.match``: no match can start anywhere else.
+      a keyword, read from the page's keyword index
+      (:func:`~vigil_ray.kernel.preprocess.keyword_index` of the
+      length-preserving ``fold_for_keywords`` copy, exactly
+      ``re.IGNORECASE`` for ASCII keywords). Each hit at or past the last
+      match's end, in order, gets one ``rx.match``: no match can start
+      anywhere else.
     - Email. A match holds one ``@`` and starts in the run of local-part
       characters just before it. Each ``@`` gets one ``RX_EMAIL.match`` at
       the later of that run's start and the last match's end: every start
@@ -410,13 +421,13 @@ def scan_document(text, low=None, windows=None):
       first fails they all fail. This keeps a long local-part run without
       a domain linear instead of quadratic.
 
-    ``low`` (``fold_for_keywords(text)``) and ``windows``
+    ``index`` (``keyword_index(fold_for_keywords(text))``) and ``windows``
     (``digit_windows(text)``) may be passed by a caller that has them.
     """
     if not text:
         return [], []
-    if low is None:
-        low = fold_for_keywords(text)
+    if index is None:
+        index = keyword_index(fold_for_keywords(text))
     if windows is None:
         windows = digit_windows(text)
     detections: List[Detection] = []
@@ -447,7 +458,7 @@ def scan_document(text, low=None, windows=None):
                     detections.append(d)
                     seen_cpf.add(key)
     if max_digits >= 11:
-        for m in _at_hits(RX_CPF_NUM, text, _hits(low, ("cpf",))):
+        for m in _at_hits(RX_CPF_NUM, text, index.get("cpf", ())):
             if _in_not_cpf_window(text, m.start()):
                 continue
             d = Detection("cpf", m.group(1), 0.90, m.start(1), m.end(1))
@@ -464,7 +475,7 @@ def scan_document(text, low=None, windows=None):
         for matches, conf in (
             (_in_windows(RX_PHONE_PAREN, text, windows, 10) if "(" in text else (), 0.95),
             (_in_windows(RX_PHONE_INTL, text, windows, 10) if "+" in text else (), 0.95),
-            (_at_hits(RX_PHONE_CTX, text, _hits(low, _PHONE_CTX_WORDS)), 0.90),
+            (_at_hits(RX_PHONE_CTX, text, keyword_hits(index, _PHONE_CTX_WORDS)), 0.90),
             (_in_windows(RX_PHONE_BARE, text, windows, 10), 0.80),
         ):
             for m in matches:
@@ -477,7 +488,7 @@ def scan_document(text, low=None, windows=None):
                     detections.append(d)
                     seen_phone.add(digits)
 
-    for m in _at_hits(RX_RG, text, _hits(low, ("rg",))):
+    for m in _at_hits(RX_RG, text, index.get("rg", ())):
         d = Detection("rg", m.group(), 0.85, m.start(), m.end())
         spans.append(d)
         detections.append(d)
@@ -517,22 +528,26 @@ def find_scrub_spans(text):
     return scan_document(text)[1]
 
 
-def find_contextual(text: str, low=None) -> List[Detection]:
+def find_contextual(text: str, index=None) -> List[Detection]:
     """At most one signal per family; fixed label + confidence per family.
-    Every family regex starts on one of its gate words, so each is searched
-    from the family's first gate hit in ``low`` (``fold_for_keywords(text)``,
-    length-preserving, so its positions are text positions)."""
+
+    Every family regex starts on one of its family's gate words (its
+    leading literals are gate words, pinned in tests/test_properties.py),
+    so its leftmost match is the first of the family's gate hits, in order,
+    where ``g.match`` succeeds: the same match ``g.search(text)`` finds.
+    The hits come from ``index`` (``keyword_index(fold_for_keywords(text))``,
+    built here when not given), whose positions are text positions."""
     if not text:
         return []
+    if index is None:
+        index = keyword_index(fold_for_keywords(text))
     out: List[Detection] = []
-    if low is None:
-        low = fold_for_keywords(text)
     for tipo, label, conf, gate_words, guards in _CTX_FAMILIES:
-        first = min((p for p in map(low.find, gate_words) if p != -1), default=-1)
-        if first == -1:
+        hits = keyword_hits(index, gate_words)
+        if not hits:
             continue
         for g in guards:
-            m = g.search(text, first)
+            m = next(_at_hits(g, text, hits), None)
             if m:
                 out.append(Detection(tipo, label, conf, m.start(), m.end()))
                 break

@@ -35,13 +35,20 @@ The quality part splits each page into whitespace words once
 (``kernel.words.words_of``, one memoized entry per word) and hands that one
 list to perplexity, the features, language ID and, when the toxicity part
 runs, the toxicity score, which it passes on as one small tuple per page.
-The list lives for its page only, so no batch-wide word lists build up. A
+Inside the part the same rule holds one level down: each kernel runs over
+every page before the next one starts (``words_of``, the toxicity score,
+``CharLM.score``, ``quality_features``, ``classify``, ``quality_rules``),
+which measured 8-14% faster than calling the five kernels page by page on
+8.7 KB pages and 10% on short ones (in process). So the word lists are
+batch-wide, about 3 MB per 4 MiB batch: each page's list is dropped as
+``classify``, its last reader, takes it. A
 map without the quality part (``PiiDetectScrub(apply_toxicity=True)``, the
 ``pages_toxicity`` query) splits in the toxicity part, through the same
 function.
 
 A poison page never fails its task: each part isolates every page's
-kernels, so one bad page costs its own columns, not the batch.
+kernels, so one bad page costs its own columns, not the batch. In the
+quality part a page on which one kernel raises is skipped by the later ones.
 
 Batches are sized in input bytes, not rows (:func:`batch_rows`): kernel cost
 grows with text length, so a row count that suits short pages puts a whole
@@ -187,31 +194,51 @@ class DocumentOp:
         """Quality columns into ``cols``; a page whose kernels raise keeps
         nulls in them and is dropped for :data:`QUALITY_ERROR`. Returns each
         page's toxicity score when the toxicity part runs (None where it was
-        not reached), so that part need not split the page again."""
+        not reached), so that part need not split the page again.
+
+        Each kernel runs over every page before the next one starts; a page
+        on which one raises is skipped by the later ones."""
         score = default_model().score
         qcfg, tcfg = self.cfg.quality, self.cfg.toxicity
         n = len(pages)
+        ok = [True] * n
+
+        def each(kernel, *args) -> list:
+            out: list = [None] * n
+            for i, a in enumerate(zip(*args)):
+                if ok[i]:
+                    try:
+                        out[i] = kernel(*a)
+                    except Exception:  # noqa: BLE001 — poison page → quality_error
+                        ok[i] = False
+            return out
+
+        # one split per page, shared by every word kernel
+        words = each(words_of, pages)
         tox: list = [None] * n
-        ppl, lang_pred, lang_score = [None] * n, [None] * n, [None] * n
+        if self.toxicity:
+            tox = each(
+                lambda page, w: score_toxicity(page, tcfg.min_hits, tcfg.min_ratio, w),
+                pages, words,
+            )
+        ppl = each(score, pages, words)
+        feats = each(quality_features, pages, words)
+        # classify is the last reader of the word lists: each goes as it is read
+        langs = each(classify, pages, _drain(words))
+        gates = each(
+            lambda f, lang, p: quality_rules(f, lang[1], p, qcfg), feats, langs, ppl
+        )
         feature_cols = {name: [None] * n for name in _FEATURES}
+        lang_pred, lang_score = [None] * n, [None] * n
         keep, reasons = [False] * n, [None] * n
-        for i, page in enumerate(pages):
-            try:
-                # one split per page, shared by every kernel; the list is
-                # dropped with the page, never kept for the batch
-                words = words_of(page)
-                if self.toxicity:
-                    tox[i] = score_toxicity(page, tcfg.min_hits, tcfg.min_ratio, words)
-                p = score(page, words)
-                feats = quality_features(page, words)  # one dict alive at a time
-                pred, lscore = classify(page, words)
-                keep[i], reasons[i] = quality_rules(feats, lscore, p, qcfg)
-            except Exception:  # noqa: BLE001 — poison page → quality_error
+        for i in range(n):
+            if not ok[i]:
+                ppl[i] = None
                 reasons[i] = [QUALITY_ERROR]  # keep stays False
                 continue
-            ppl[i], lang_pred[i], lang_score[i] = p, pred, lscore
+            (lang_pred[i], lang_score[i]), (keep[i], reasons[i]) = langs[i], gates[i]
             for name, col in feature_cols.items():
-                col[i] = feats[name]
+                col[i] = feats[i][name]
         cols.update(lang_pred=lang_pred, lang_score=lang_score, ppl=ppl, **feature_cols)
         cols.update(keep=keep, drop_reasons=reasons)
         return tox

@@ -41,7 +41,7 @@ from vigil_ray.kernel.names import (
     split_ner_chunks,
 )
 from vigil_ray.kernel.patterns import Detection
-from vigil_ray.kernel.preprocess import normalize_text
+from vigil_ray.kernel.preprocess import fold_for_keywords, keyword_index, normalize_text
 
 logger = logging.getLogger(__name__)
 
@@ -83,9 +83,9 @@ class NerNameDetector:
             logger.warning("NER model unavailable (%s); using fallback", exc)
             self.model = None
 
-    def _names_for(self, clean: str) -> List[Detection]:
+    def _names_for(self, clean: str, low: str, index) -> List[Detection]:
         if self.model is None:
-            return find_names_heuristic(clean)
+            return find_names_heuristic(clean, low, index)
         out: List[Detection] = []
         seen: set = set()
         try:
@@ -103,7 +103,7 @@ class NerNameDetector:
                             seen.add(key)
         except Exception as exc:  # noqa: BLE001 — per-text fallback
             logger.warning("NER inference error (%s); falling back", exc)
-            return find_names_heuristic(clean)
+            return find_names_heuristic(clean, low, index)
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -118,12 +118,14 @@ class NerNameDetector:
                 clean = normalize_text(raw)
                 if not clean:
                     continue
-                found = patterns.find_structured(clean)
-                names = self._names_for(clean)
+                low = fold_for_keywords(clean)
+                index = keyword_index(low)
+                found = patterns.scan_document(clean, index)[0]
+                names = self._names_for(clean, low, index)
                 found.extend(names)
                 if not found:
                     continue
-                found.extend(patterns.find_contextual(clean))
+                found.extend(patterns.find_contextual(clean, index))
                 res = build_result(found)
                 contem[i] = res["contem_pii"]
                 tipos[i] = res["tipos_detectados"]
