@@ -337,6 +337,14 @@ class TestPerKeyCap:
             ids = sorted(r for r in rows_ids(rows, k))[:3]
             assert sorted(grp["doc_id"]) == ids
 
+    @pytest.mark.parametrize("bad", ["7", 7.5])
+    def test_rejects_non_int_ids(self, bad):
+        from vigil_ray.stages.corpus import per_key_cap
+
+        rows = [{"key": "s", "doc_id": bad}, {"key": "s", "doc_id": bad}]
+        with pytest.raises(TypeError):
+            per_key_cap(_ds(rows), "key", "doc_id", 1).to_pandas()
+
 
 def rows_ids(rows, key):
     return [r["doc_id"] for r in rows if r["key"] == key]
@@ -422,6 +430,14 @@ class TestPerGroupSample:
             expect = sorted(sorted(ids, key=key)[:4])
             got = sorted(a[a["g"] == g]["doc_id"])
             assert got == expect
+
+    @pytest.mark.parametrize("bad", ["7", 7.5])
+    def test_rejects_non_int_ids(self, bad):
+        from vigil_ray.stages.corpus import per_group_sample
+
+        rows = [{"g": "g", "doc_id": bad}, {"g": "g", "doc_id": bad}]
+        with pytest.raises(TypeError):
+            per_group_sample(_ds(rows), "g", "doc_id", 1).to_pandas()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -718,12 +734,10 @@ class TestPerGroupWeightedSample:
         assert out["doc_id"].tolist() == [999]
 
     def test_rejects_nonpositive_weight(self):
-        import ray
-
         from vigil_ray.stages.corpus import per_group_weighted_sample
 
         rows = [{"g": "g", "doc_id": 1, "w": 0}]
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError):
             per_group_weighted_sample(_ds(rows), "g", "doc_id", "w", k=1).to_pandas()
 
 
@@ -1479,6 +1493,10 @@ def _run_on_empty(op, ds):
         return sortmerge.sorted_lookup_join(ds, lookup, ["user_id"])
     if op == "sessionize":
         return sessions.sessionize(ds)
+    if op == "sorted_group_topk":
+        return corpus.sorted_group_topk(ds, ["user_id"], [("t", "descending")], 2)
+    if op == "segment_dedup":
+        return corpus.segment_dedup(ds, id_col="user_id", text_col="event_type")
     raise KeyError(op)
 
 
@@ -1496,6 +1514,8 @@ _EMPTY_INPUT_OPS = [
     "sorted_lookup_join",
     "sessionize",
     "funnel_counts",
+    "sorted_group_topk",
+    "segment_dedup",
 ]
 
 
@@ -1541,3 +1561,20 @@ def test_sorted_lookup_join_unknown_lookup_schema_raises():
     rows = rd.from_items([{"user_id": 1, "v": 2.0}])
     with pytest.raises(ValueError, match="lookup_ds has no known schema"):
         sorted_lookup_join(rows, _row_filtered_empty_events(), ["user_id"])
+
+
+def test_aggregate_fn_only_in_sketches():
+    """Per-key reducers run on ``runs.map_sorted_runs``; Ray's hash
+    ``groupby().aggregate(AggregateFn)`` stays only behind the fixed-size
+    algebraic sketches of ``stages/sketches.py``."""
+    from pathlib import Path
+
+    import vigil_ray
+
+    root = Path(vigil_ray.__file__).parent
+    users = sorted(
+        str(p.relative_to(root))
+        for p in root.rglob("*.py")
+        if "AggregateFn" in p.read_text(encoding="utf-8")
+    )
+    assert users == ["stages/sketches.py"]

@@ -179,36 +179,6 @@ def test_payload_md5_is_raw_bytes():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_ngram_jaccard_pairs_exact_inverted_index():
-    """The exact inverted-shingle-index path (library form): verified against
-    brute-force Jaccard on a small distinctive-vocabulary corpus."""
-    import itertools
-
-    import ray.data as rd
-
-    from vigil_ray.kernel.textstats import word_ngrams
-    from vigil_ray.stages.dedup import ngram_jaccard_pairs
-
-    docs = {}
-    for i in range(12):
-        words = [f"tok{i}_{j}" for j in range(10)]
-        docs[i] = " ".join(words)
-        docs[100 + i] = " ".join(words + (["extra"] if i % 2 else []))
-
-    expected = set()
-    for a, b in itertools.combinations(sorted(docs), 2):
-        sa = set(word_ngrams(docs[a], 2))
-        sb = set(word_ngrams(docs[b], 2))
-        if sa | sb and len(sa & sb) / len(sa | sb) >= 0.7:
-            expected.add((a, b))
-
-    ds = rd.from_items([{"vid": k, "text": v} for k, v in docs.items()])
-    out = ngram_jaccard_pairs(ds, ngram=2, threshold=0.7).to_pandas()
-    got = set(zip(out["a"], out["b"]))
-    assert got == expected and expected  # non-trivial pair set
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_frame_sample_and_resize_stages():
     import ray.data as rd
 
@@ -237,33 +207,6 @@ def test_frame_sample_and_resize_stages():
     assert len(resized) == 40
     assert (resized[["resized_w", "resized_h"]].max(axis=1) == 64).all()
     assert (resized[["resized_w", "resized_h"]].min(axis=1) >= 1).all()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_ngram_jaccard_max_df_valve():
-    """max_df drops stop-shingle buckets: pairs whose overlap rides only on
-    ultra-common shingles disappear, distinctive pairs survive."""
-    import ray.data as rd
-
-    from vigil_ray.stages.dedup import ngram_jaccard_pairs
-
-    common = "the quick brown fox jumps over the lazy dog again and again"
-    docs = (
-        [{"vid": i, "text": common} for i in range(10)]          # identical
-        + [{"vid": 100 + i, "text": f"rare{i} token{i} one{i} two{i} three{i}"}
-           for i in range(3)]
-    )
-    docs.append({"vid": 103, "text": "rare0 token0 one0 two0 three0"})  # dup of 100
-    ds = rd.from_items(docs)
-
-    # no valve: the identical-common docs form all 45 pairs + the rare pair
-    full = ngram_jaccard_pairs(ds, ngram=2, threshold=0.9).to_pandas()
-    assert len(full) == 46
-    # valve at df<=2: every common shingle (df=10) is dropped, so the
-    # identical-common pairs lose all measured overlap; the rare pair's
-    # shingles (df=2) survive
-    valved = ngram_jaccard_pairs(ds, ngram=2, threshold=0.9, max_df=2).to_pandas()
-    assert set(zip(valved["a"], valved["b"])) == {(100, 103)}
 
 
 class TestBucketTruncation:

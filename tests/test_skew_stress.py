@@ -5,10 +5,11 @@ Every test runs on a synthetic events table where ONE user owns 40% of all
 rows and those rows are scattered uniformly across 32 blocks — the dominant
 key spans essentially every block, which is exactly the layout that breaks
 per-key collected-state designs (one worker would hold 40% of the corpus).
-The sorted-block primitive family, the sessionize/funnel fragment monoids,
-and skew_join are all pinned against pandas / greedy references on this
-input. Timings for the same shape at 2M rows are recorded in BASELINE.md
-("Hot-key skew probe"); correctness is what these tests pin.
+The sorted-block primitive family, sessionize and the funnel (the sorted-run
+map holds the dominant user's whole run in one block), and skew_join are
+all pinned against pandas / greedy references on this input. Timings for
+the same shape at 2M rows are recorded in BASELINE.md ("Hot-key skew
+probe"); correctness is what these tests pin.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ with generative coverage of boundary interactions."""
 
 import pandas as pd
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 
@@ -406,10 +406,10 @@ _REDUCER_GIVEN = dict(
 
 @pytest.mark.usefixtures("ray_session")
 class TestSortedRunReducerProperties:
-    """Differential: the four users of the boundary-deferral protocol
-    (group argmin, group sum/min/max, bucket pairs, distinct pairs) against
-    plain Python on random ties, block layouts, a key touching every input
-    block, empty input, and int32 and string keys."""
+    """Differential: the sorted-run reducers (group argmin, group
+    sum/min/max, group top-k, bucket pairs, distinct pairs) against plain
+    Python or pandas on random ties, block layouts, a key touching every
+    input block, empty input, and int32 and string keys."""
 
     @given(desc=st.tuples(st.booleans(), st.booleans()), **_REDUCER_GIVEN)
     @settings(**_SETTINGS)
@@ -430,6 +430,37 @@ class TestSortedRunReducerProperties:
             if r["k"] not in best or order < best[r["k"]][0]:
                 best[r["k"]] = (order, (r["k"], r["v"], r["w"]))
         assert got == sorted(t for _, t in best.values())
+        assert all(t == tbl.schema.field("k").type for t in types)
+
+    @given(
+        desc=st.tuples(st.booleans(), st.booleans()),
+        k=st.sampled_from([1, 2, 3, 100]),
+        **_REDUCER_GIVEN,
+    )
+    # the true top row sits behind a same-key row in its input block: a
+    # pre-cap that skipped its own sort would keep the wrong one
+    @example(
+        rows=[(0, 3, 0), (0, -3, 0)], nblocks=1, key_type="int32", span=False,
+        desc=(False, False), k=1,
+    )
+    @settings(**_SETTINGS)
+    def test_group_topk_matches_pandas_head(self, rows, nblocks, key_type, span, desc, k):
+        from vigil_ray.stages.corpus import sorted_group_topk
+
+        tbl = _reducer_table(rows, nblocks, key_type, span)
+        # v and w tie often; vid (unique) ends the order
+        order = [(c, "descending" if d else "ascending") for c, d in zip("vw", desc)]
+        out = sorted_group_topk(
+            _arrow_ds(tbl, nblocks), ["k"], order + [("vid", "ascending")], k
+        )
+        got, types = _rows_of(out, ["k", "v", "w", "vid"])
+        df = tbl.to_pandas().sort_values(
+            ["k", "v", "w", "vid"],
+            ascending=[True, not desc[0], not desc[1], True],
+            kind="stable",
+        )
+        want = sorted(df.groupby("k").head(k).itertuples(index=False, name=None))
+        assert got == want
         assert all(t == tbl.schema.field("k").type for t in types)
 
     @given(**_REDUCER_GIVEN)

@@ -111,11 +111,10 @@ def normalize_predictions(ds, id_col: str, text_col: Optional[str]):
 
 
 def _type_examples(ds, id_col: str, per_type: int = 2) -> Dict[str, list]:
-    """Two example (id, text-prefix) rows per detected type — a collect-list
-    ``AggregateFn`` whose accumulator truncates to ``per_type`` (the
-    lang_top_docs_concat pattern: the shuffle carries ≤per_type rows per
-    (block, tipo), never the corpus)."""
-    from ray.data.aggregate import AggregateFn
+    """Two example (id, text-prefix) rows per detected type, the smallest
+    (id, text) pairs: ``corpus.sorted_group_topk`` keyed by type, so the
+    sort carries ≤per_type rows per (block, tipo), never the corpus."""
+    from vigil_ray.stages.corpus import sorted_group_topk
 
     has_text = "_text" in ds.schema().names
 
@@ -139,27 +138,16 @@ def _type_examples(ds, id_col: str, per_type: int = 2) -> Dict[str, list]:
             }
         )
 
-    def _cap(rows: list) -> list:
-        return sorted(rows)[:per_type]
-
-    collect = AggregateFn(
-        init=lambda k: [],
-        merge=lambda a, b: _cap(a + b),
-        name="examples",
-        accumulate_block=lambda acc, block: _cap(
-            acc
-            + list(
-                zip(block.column("rid").to_pylist(), block.column("tx").to_pylist())
-            )
-        ),
+    top = sorted_group_topk(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["tipo"],
+        [("rid", "ascending"), ("tx", "ascending")],
+        per_type,
     )
-    rows = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("tipo")
-        .aggregate(collect)
-        .take_all()
-    )
-    return {r["tipo"]: [tuple(e) for e in r["examples"]] for r in rows}
+    examples: Dict[str, list] = {}
+    for r in top.take_all():  # each tipo's rows in order, whole in one block
+        examples.setdefault(r["tipo"], []).append((r["rid"], r["tx"]))
+    return examples
 
 
 def _bar(pct: float) -> str:

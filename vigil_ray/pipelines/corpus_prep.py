@@ -13,7 +13,7 @@ partitioned output layout (one directory per (split, shard)) — the layout a
 manifest-driven rerun (``pipelines/manifest.run_resumable`` over input
 shards) diffs to skip finished work.
 
-Scale notes: the only shuffle is the exact-dedup groupby (carrying
+Scale notes: the only shuffles are the exact-dedup sort (carrying
 (hash, url)-sized rows) and the prefix-scan sort (id-ordered, two passes
 over pinned blocks); the split assignment and the writes stream.
 """
@@ -21,7 +21,6 @@ over pinned blocks); the split assignment and the writes stream.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 import pyarrow as pa
 
@@ -37,9 +36,7 @@ def prepare_corpus(
     """Run dedup → split → pack → partitioned write over a quality-filtered
     Dataset (rows must carry ``keep`` from the flagship). Returns the
     written Dataset (url, split, shard_id) for lineage/inspection."""
-    from ray.data.aggregate import AggregateFn
-
-    from vigil_ray.stages.corpus import hash_split, prefix_scan
+    from vigil_ray.stages.corpus import hash_split, prefix_scan, sorted_group_min
 
     # 1. drop filtered docs, hash the text we will train on
     def kept_with_hash(batch: pa.Table) -> pa.Table:
@@ -57,48 +54,25 @@ def prepare_corpus(
             }
         )
 
-    # materialized ONCE: both the winners aggregate and the semi-join's left
+    # materialized ONCE: both the winners group-min and the semi-join's left
     # side consume it — unpinned, the expensive upstream (detect/scrub)
     # lineage would execute twice
     hashed = ds.map_batches(kept_with_hash, batch_format="pyarrow").materialize()
 
     # 2. exact dedup: first occurrence (min key) per content hash — the
-    # shuffle carries (hash, key) pairs; text re-attaches by semi-join
-    def _block_min(block) -> Optional[str]:
-        vals = block.column(key_col).to_pylist()
-        return min(vals) if vals else None
-
-    def _merge(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    winner = AggregateFn(
-        init=lambda k: None,
-        merge=_merge,
-        name="winner_key",
-        accumulate_block=lambda acc, block: _merge(acc, _block_min(block)),
-    )
-    winners = (
-        hashed.select_columns(["content_hash", key_col])
-        .groupby("content_hash")
-        .aggregate(winner)
-        .select_columns(["content_hash", "winner_key"])
-        .rename_columns({"content_hash": "winner_hash"})
-    )
-    from vigil_ray.stages.blocks import compact_blocks
-
-    # winners is aggregate-derived — compact so no 0-row block leads its
-    # shuffle and drops the join's schema broadcast (blocks.py). The semi
-    # join keys on (content_hash, key) — key alone would also keep a
-    # SAME-KEY row with different content whose hash group it never won.
+    # sort carries (hash, key) pairs; text re-attaches by semi-join. Every
+    # block of the group-min is non-empty (its sort is compacted), so its
+    # first block always carries the join's schema broadcast (blocks.py).
+    # The semi join keys on (content_hash, key) — key alone would also keep
+    # a SAME-KEY row with different content whose hash group it never won.
     # Precondition (input guards): key_col is row-unique per content; fully
     # identical duplicate input rows are upstream malformation this exact
     # dedup cannot distinguish.
+    winners = sorted_group_min(
+        hashed.select_columns(["content_hash", key_col]), ["content_hash"], [key_col]
+    ).rename_columns({"content_hash": "winner_hash", key_col: "winner_key"})
     deduped = hashed.join(
-        compact_blocks(winners),
+        winners,
         join_type="left_semi",
         num_partitions=8,
         on=("content_hash", key_col),

@@ -612,7 +612,7 @@ def q_docs_rollup_stats(sf_dir: str):
 def q_docs_sample_per_lang(sf_dir: str):
     """Deterministic reservoir-style stratified sample: the 5 docs with the
     smallest md5(doc_id:7) per language — a seeded uniform sample per
-    stratum, reproducible at any parallelism (collect-truncate shuffle)."""
+    stratum, reproducible at any parallelism (``corpus.sorted_group_topk``)."""
     from vigil_ray.stages.corpus import per_group_sample
 
     return per_group_sample(_docs(sf_dir, ["doc_id", "lang"]), "lang", "doc_id", 5)
@@ -777,8 +777,8 @@ def q_dedup_prefix_filter_pairs(sf_dir: str):
 def q_doc_segment_dedup(sf_dir: str):
     """C4-style cross-corpus segment dedup (10-word segments): each distinct
     segment survives once (min doc, then min position) and docs are rebuilt
-    from their surviving segments — one groupby(segment) with a min-winner
-    accumulator + one reassembly groupby(doc), no joins."""
+    from their surviving segments — a sorted group-min by segment, then one
+    sorted-run map by doc that joins the survivors in order, no joins."""
     from vigil_ray.stages.corpus import segment_dedup
 
     return segment_dedup(_docs(sf_dir, ["doc_id", "text"]), seg_words=10)
@@ -2792,8 +2792,8 @@ def q_docs_top_decile_per_lang(sf_dir: str):
 )
 def q_docs_source_cap(sf_dir: str):
     """Per-source document cap (domain-cap operator): at most 10 docs per
-    source, smallest ids kept — collect-truncate aggregate, shuffle carries
-    ≤10 ids per (block, source)."""
+    source, smallest ids kept — ``corpus.sorted_group_topk`` by id, the sort
+    carries ≤10 rows per (block, source)."""
     from vigil_ray.stages.corpus import per_key_cap
 
     return per_key_cap(_docs(sf_dir, ["doc_id", "source"]), "source", "doc_id", 10)
@@ -3079,8 +3079,8 @@ def q_frontier_prep(sf_dir: str):
     on the canonical URL (keeper = min row_id) → extract the registered
     domain (last two host labels, RE2 map-side) → drop blocklisted domains
     (tiny static set) → politeness cap of 10 URLs per domain (smallest
-    keeper ids win, `corpus.per_key_cap`'s collect-truncate — ≤cap ids per
-    (block, domain) in the shuffle). Output: (domain, row_id) survivors.
+    keeper ids win, `corpus.per_key_cap`'s top-k by id — ≤cap rows per
+    (block, domain) in the sort). Output: (domain, row_id) survivors.
     Everything between the two bounded shuffles is map-side; page bodies
     never exist on this path at all."""
     import ray.data as rd
@@ -3362,11 +3362,10 @@ def q_dedup_ngram_pairs(sf_dir: str):
     2-gram verification (candidate pairs hash-join back to the corpus) — no
     driver materialization, no corpus broadcast, no all-pairs scan. True
     pairs here have J ≥ 0.9, where the 32×4 banding miss probability is
-    ~1.5e-15 per pair. The exact-complete alternative
-    (stages/dedup.ngram_jaccard_pairs, inverted shingle index) degrades on
-    this corpus's closed 31-word vocabulary: every 2-gram is a stop-shingle,
-    so its pair-count groupby degenerates to all-pairs (measured 50 s vs
-    ~6 s for this form at sf0.01)."""
+    ~1.5e-15 per pair. An exact inverted shingle index degrades on this
+    corpus's closed 31-word vocabulary: every 2-gram is a stop-shingle, so
+    its pair-count groupby degenerates to all-pairs (a collect-list form
+    measured 50 s vs ~6 s for this form at sf0.01)."""
     from vigil_ray.stages.dedup import minhash_lsh_pairs
 
     return minhash_lsh_pairs(_variants_ds(sf_dir), threshold=0.7, ngram=2)
@@ -5054,45 +5053,29 @@ def q_events_kmv_users(sf_dir: str):
 )
 def q_lang_top_docs_concat(sf_dir: str):
     """Per-group ordered list aggregation (group-concat): the 5 longest docs
-    per language as a comma-joined id string — collect-list ``AggregateFn``
-    + in-batch sort/truncate/join, vs SQL ``string_agg`` over a ranked CTE."""
-    from ray.data.aggregate import AggregateFn
+    per language as a comma-joined id string — ``corpus.sorted_group_topk``
+    (the sort carries ≤5 rows per (block, lang)), then one more sorted-run
+    map over the ≤5×langs survivors joins each language's ids in order, vs
+    SQL ``string_agg`` over a ranked CTE."""
+    from vigil_ray.stages.corpus import sorted_group_topk
+    from vigil_ray.stages.runs import map_sorted_runs
 
-    from vigil_ray.sources.readers import read_table
+    order = [("n_chars", "descending"), ("doc_id", "ascending")]
+    top = sorted_group_topk(_docs(sf_dir, ["doc_id", "lang", "n_chars"]), ["lang"], order, 5)
 
-    ds = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
-
-    def _rows(block) -> list:
-        if isinstance(block, pa.Table):
-            return list(
-                zip(block.column("n_chars").to_pylist(), block.column("doc_id").to_pylist())
-            )
-        return list(zip(list(block["n_chars"]), list(block["doc_id"])))
-
-    # partial truncation inside the accumulator: only each block's top-5
-    # candidates survive, so the shuffle carries ≤5 pairs per (block, lang)
-    def _top5(rows: list) -> list:
-        return sorted(rows, key=lambda t: (-t[0], t[1]))[:5]
-
-    collect = AggregateFn(
-        init=lambda k: [],
-        merge=lambda left, right: _top5(left + right),
-        name="pairs",
-        accumulate_block=lambda acc, block: _top5(acc + _rows(block)),
-    )
-    per_lang = ds.groupby("lang").aggregate(collect)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        langs = batch.column("lang")
-        joined = [
-            ",".join(str(d) for _, d in _top5([tuple(p) for p in pairs]))
-            for pairs in batch.column("pairs").to_pylist()
-        ]
+    def join_ids(batch: pa.Table, starts) -> pa.Table:
+        ids = [str(d) for d in batch.column("doc_id").to_pylist()]
+        ends = list(starts[1:]) + [batch.num_rows]
         return pa.table(
-            {"lang": langs, "top_doc_ids": pa.array(joined, pa.string())}
+            {
+                "lang": batch.column("lang").take(pa.array(starts, pa.int64())),
+                "top_doc_ids": pa.array(
+                    [",".join(ids[a:b]) for a, b in zip(starts, ends)], pa.string()
+                ),
+            }
         )
 
-    return per_lang.map_batches(finish, batch_format="pyarrow")
+    return map_sorted_runs(top, ["lang"], ["doc_id", "n_chars"], join_ids, order=order)
 
 
 @query(
@@ -5172,49 +5155,20 @@ def q_events_asof_join(sf_dir: str):
 )
 def q_top3_docs_per_lang(sf_dir: str):
     """Per-group top-k: 3 longest documents per language, ties broken by
-    doc_id — collect-TRUNCATE aggregate (the lang_top_docs_concat shape):
-    the accumulator never holds more than 3 (n_chars, doc_id) pairs, so the
-    shuffle carries ≤3 rows per (block, lang) instead of the whole language
-    partition (a language is billions of docs at web scale — a
-    ``map_groups`` head would shuffle and single-task all of them)."""
-    from ray.data.aggregate import AggregateFn
+    doc_id — ``corpus.sorted_group_topk``: each input block keeps its 3
+    first rows per language before the sort, so the sort carries ≤3 rows
+    per (block, lang) instead of the whole language partition (a language
+    is billions of docs at web scale — a ``map_groups`` head would shuffle
+    and single-task all of them)."""
+    from vigil_ray.stages.corpus import sorted_group_topk
 
-    ds = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
-
-    def _top3(rows: list) -> list:
-        return sorted(rows, key=lambda t: (-t[0], t[1]))[:3]
-
-    collect = AggregateFn(
-        init=lambda k: [],
-        merge=lambda a, b: _top3(a + b),
-        name="top",
-        accumulate_block=lambda acc, block: _top3(
-            acc
-            + list(
-                zip(block.column("n_chars").to_pylist(), block.column("doc_id").to_pylist())
-            )
-        ),
+    top = sorted_group_topk(
+        _docs(sf_dir, ["doc_id", "lang", "n_chars"]),
+        ["lang"],
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+        3,
     )
-    per_lang = ds.groupby("lang").aggregate(collect)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        langs, ids, chars = [], [], []
-        for lang, top in zip(
-            batch.column("lang").to_pylist(), batch.column("top").to_pylist()
-        ):
-            for n, d in _top3([tuple(p) for p in top]):
-                langs.append(lang)
-                ids.append(d)
-                chars.append(n)
-        return pa.table(
-            {
-                "lang": pa.array(langs, pa.string()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_chars": pa.array(chars, pa.int64()),
-            }
-        )
-
-    return per_lang.map_batches(explode, batch_format="pyarrow")
+    return top.select_columns(["lang", "doc_id", "n_chars"])
 
 
 @query(

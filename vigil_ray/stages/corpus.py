@@ -30,8 +30,12 @@ training, each in its canonical distributed shape:
 - :func:`group_quantile_filter` — "keep the top (1-q) quality slice PER
   group" via per-group value histograms (partial per batch, merged small),
   thresholds broadcast, one filter pass. Exact ``quantile_disc`` semantics.
-- :func:`per_key_cap` — "at most K documents per source/domain": the
-  collect-truncate aggregate (shuffle carries ≤K ids per key per block).
+- :func:`sorted_group_topk` — the ``k`` first rows per key under an order:
+  a map-side pre-cap, then one map over the sorted key runs (the sort
+  carries ≤k rows per key per block). :func:`per_key_cap` ("at most K
+  documents per source/domain"), :func:`per_group_sample` and
+  :func:`per_group_weighted_sample` are top-k under the id, a seeded md5
+  and an exponential clock.
 
 No reference analog (the reference is a single-machine PII detector); these
 extend SURVEY.md §2 with the LLM-data-pipeline operator class the north rule
@@ -165,13 +169,13 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text", seg_words:
     in the document with the smallest id, at its smallest position there —
     and each document is rebuilt from its surviving segments in order.
 
-    Distributed shape: explode (doc, idx, segment) → groupby(segment) keeps
-    ONE winner row via a min-(doc, idx) accumulator (the shuffle's reduce
-    side emits one row per distinct segment, nothing joins back) → reassemble
-    with a collect-list aggregate keyed by doc. Documents whose every segment
-    lost are dropped (they contributed nothing new to the corpus).
+    Distributed shape: explode (doc, idx, segment) → :func:`sorted_group_min`
+    keeps ONE winner row per distinct segment (min (doc, idx); nothing joins
+    back) → ``runs.map_sorted_runs`` by doc, ordered by idx inside each
+    block, joins each doc's surviving segments. Documents whose every
+    segment lost are dropped (they contributed nothing new to the corpus).
     """
-    from ray.data.aggregate import AggregateFn
+    from vigil_ray.stages.runs import map_sorted_runs
 
     def explode(batch: pa.Table) -> pa.Table:
         docs, idxs, segs = [], [], []
@@ -192,43 +196,23 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text", seg_words:
         )
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-
-    # winner per distinct segment = groupby-argmin on (doc_id, seg_idx):
-    # the sorted-adjacency primitive (one native sort, no per-group
-    # aggregate machinery — see sorted_group_min)
     kept = sorted_group_min(exploded, ["seg"], ["doc_id", "seg_idx"])
 
-    # parts are encoded '000000000042\x1f<seg>' strings (zero-padded index
-    # prefix sorts numerically): a homogeneous string list stays
-    # Arrow-encodable in partial aggregate blocks — an (int, str) tuple
-    # would fall back to pickled objects
-    collect = AggregateFn(
-        init=lambda k: [],
-        merge=lambda a, b: a + b,
-        name="parts",
-        accumulate_block=lambda acc, block: acc
-        + [
-            f"{i:012d}\x1f{s}"
-            for i, s in zip(
-                block.column("seg_idx").to_pylist(), block.column("seg").to_pylist()
-            )
-        ],
-    )
-    per_doc = kept.groupby("doc_id").aggregate(collect)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        texts = [
-            " ".join(p.split("\x1f", 1)[1] for p in sorted(parts))
-            for parts in batch.column("parts").to_pylist()
-        ]
+    def join_segs(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+        segs = batch.column("seg").to_pylist()
+        ends = list(starts[1:]) + [batch.num_rows]
         return pa.table(
             {
-                "doc_id": batch.column("doc_id"),
-                "text_dedup": pa.array(texts, pa.string()),
+                "doc_id": batch.column("doc_id").take(pa.array(starts, pa.int64())),
+                "text_dedup": pa.array(
+                    [" ".join(segs[a:b]) for a, b in zip(starts, ends)], pa.string()
+                ),
             }
         )
 
-    return per_doc.map_batches(finish, batch_format="pyarrow")
+    return map_sorted_runs(
+        kept, ["doc_id"], ["seg_idx", "seg"], join_segs, order=[("seg_idx", "ascending")]
+    )
 
 
 def sorted_group_min(
@@ -312,6 +296,39 @@ def sorted_group_agg(rows_ds, key_cols: Sequence[str], specs: Sequence[tuple]):
         return out
 
     return map_sorted_runs(rows_ds, key_cols, [c for c, _, _ in specs], run_aggs)
+
+
+def sorted_group_topk(ds, key_cols: Sequence[str], order: Sequence[Tuple[str, str]], k: int):
+    """The ``k`` first rows of each distinct key under ``order`` (Arrow
+    ``sort_by`` keys, e.g. ``[("n_chars", "descending"), ("doc_id",
+    "ascending")]``), all columns kept — the per-key top-k / head-k
+    primitive on the sorted-adjacency shape (``runs.map_sorted_runs``).
+
+    Top-k decomposes, so every input block first sorts itself and keeps
+    its ``k`` first rows per key (a map-side pre-cap): the sort carries at
+    most ``k`` rows per (block, key), and a hot key's run is at most
+    ``k`` × blocks rows. Each sorted block then keeps the ``k`` first rows
+    of each run. Rows tied on key and ``order`` are kept in no set order:
+    end ``order`` with a unique column for a deterministic result. An
+    exception raised upstream keeps its type on the driver."""
+    from vigil_ray.stages.runs import map_sorted_runs, run_starts
+
+    key_cols = list(key_cols)
+    order = list(order)
+    sort_keys = [(c, "ascending") for c in key_cols] + order
+
+    def head(batch: pa.Table, starts: np.ndarray) -> pa.Table:
+        run_len = np.diff(starts, append=batch.num_rows)
+        pos = np.arange(batch.num_rows) - np.repeat(starts, run_len)
+        return batch.filter(pa.array(pos < k))
+
+    def pre_cap(block: pa.Table) -> pa.Table:
+        block = block.sort_by(sort_keys)
+        return head(block, run_starts(block, key_cols))
+
+    capped = ds.map_batches(pre_cap, batch_format="pyarrow", batch_size=None)
+    capped.context.raise_original_map_exception = True
+    return map_sorted_runs(capped, key_cols, [c for c, _ in order], head, order=order)
 
 
 # --------------------------------------------------------------------------
@@ -1220,43 +1237,22 @@ def group_quantile_filter(
 
 def per_key_cap(ds, key_col: str, id_col: str, cap: int):
     """At most ``cap`` rows per key, keeping the smallest ids (the
-    domain-cap / source-cap operator). Collect-truncate aggregate: the
-    accumulator never holds more than ``cap`` ids, so the shuffle carries
-    ≤cap ids per (block, key) — a hot key cannot explode the exchange.
-    Output: (key, id) rows of the survivors."""
-    from ray.data.aggregate import AggregateFn
+    domain-cap / source-cap operator): :func:`sorted_group_topk` ordered by
+    the id, so the sort carries ≤cap rows per (block, key) — a hot key
+    cannot explode the exchange. Ids must be integers (``TypeError``).
+    Output: (key, id int64) rows of the survivors."""
 
-    def _cap_ids(ids: list) -> list:
-        if ids and not isinstance(ids[0], int):
-            raise TypeError("per_key_cap ids must be int64 (explode emits int64)")
-        return sorted(ids)[:cap]
-
-    collect = AggregateFn(
-        init=lambda k: [],
-        merge=lambda a, b: _cap_ids(a + b),
-        name="kept",
-        accumulate_block=lambda acc, block: _cap_ids(
-            acc + block.column(id_col).to_pylist()
-        ),
-    )
-    per_key = ds.groupby(key_col).aggregate(collect)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        keys, ids = [], []
-        for k, kept in zip(
-            batch.column(key_col).to_pylist(), batch.column("kept").to_pylist()
-        ):
-            for i in kept:
-                keys.append(k)
-                ids.append(i)
+    def ids(batch: pa.Table) -> pa.Table:
+        if not pa.types.is_integer(batch.schema.field(id_col).type):
+            raise TypeError(
+                f"per_key_cap ids must be int, got {batch.schema.field(id_col).type}"
+            )
         return pa.table(
-            {
-                key_col: pa.array(keys, batch.column(key_col).type),
-                id_col: pa.array(ids, pa.int64()),
-            }
+            {key_col: batch.column(key_col), id_col: batch.column(id_col).cast(pa.int64())}
         )
 
-    return per_key.map_batches(explode, batch_format="pyarrow")
+    rows = ds.map_batches(ids, batch_format="pyarrow")
+    return sorted_group_topk(rows, [key_col], [(id_col, "ascending")], cap)
 
 
 def per_group_weighted_sample(
@@ -1269,22 +1265,19 @@ def per_group_weighted_sample(
     This is the data-mixing primitive (sample docs ∝ length / source weight)
     a training pipeline runs before packing.
 
-    Scale shape: same collect-truncate accumulator as
-    :func:`per_group_sample` — the shuffle carries ≤k (key, id) int pairs per
-    (block, group). Keys are encoded as the IEEE-754 bit pattern of the
-    positive double (order-preserving as int64, Arrow-encodable, and
-    bit-reproducible by the SQL oracle up to libm ulp noise that only
-    matters on exact key ties, which the md5 uniform makes negligible).
+    Scale shape: :func:`sorted_group_topk` ordered by (clock, id), so the
+    sort carries ≤k rows per (block, group). Clocks are encoded as the
+    IEEE-754 bit pattern of the positive double (order-preserving as int64
+    and bit-reproducible by the SQL oracle up to libm ulp noise that only
+    matters on exact clock ties, which the md5 uniform makes negligible).
 
-    Weights must be > 0 (raises on violation — a silent skip would bias the
-    sample)."""
+    Ids must be integers (``TypeError``) and weights > 0 (``ValueError`` —
+    a silent skip would bias the sample). Output: (group, id int64)."""
     import hashlib as _hl
     import math as _math
     import struct as _struct
 
-    from ray.data.aggregate import AggregateFn
-
-    def _key(vid, w) -> tuple:
+    def _bits(vid, w) -> int:
         if not isinstance(vid, int):
             raise TypeError(
                 f"per_group_weighted_sample ids must be int, got {type(vid).__name__}"
@@ -1294,90 +1287,55 @@ def per_group_weighted_sample(
         h = int(_hl.md5(f"{vid}:{seed}".encode()).hexdigest()[:16], 16)
         u = (h + 1) / 18446744073709551616.0
         clock = -_math.log(u) / w
-        bits = _struct.unpack("<q", _struct.pack("<d", clock))[0]
-        return (bits, vid)
+        return _struct.unpack("<q", _struct.pack("<d", clock))[0]
 
-    def _cap(items: list) -> list:
-        return sorted(items)[:k]
-
-    def _acc_block(acc, block):
-        ids = block.column(id_col).to_pylist()
-        ws = block.column(weight_col).to_pylist()
-        return _cap(acc + [_key(v, w) for v, w in zip(ids, ws)])
-
-    collect = AggregateFn(
-        init=lambda g: [],
-        merge=lambda a, b: _cap(a + b),
-        name="sampled",
-        accumulate_block=_acc_block,
-    )
-    per_group = ds.groupby(group_col).aggregate(collect)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        groups, ids = [], []
-        for g, kept in zip(
-            batch.column(group_col).to_pylist(), batch.column("sampled").to_pylist()
-        ):
-            for _, vid in kept:
-                groups.append(g)
-                ids.append(int(vid))
+    def clocks(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).to_pylist()
+        ws = batch.column(weight_col).to_pylist()
+        bits = [_bits(v, w) for v, w in zip(ids, ws)]  # checks before the cast
         return pa.table(
             {
-                group_col: pa.array(groups, batch.column(group_col).type),
+                group_col: batch.column(group_col),
                 id_col: pa.array(ids, pa.int64()),
+                "__clock": pa.array(bits, pa.int64()),
             }
         )
 
-    return per_group.map_batches(explode, batch_format="pyarrow")
+    rows = ds.map_batches(clocks, batch_format="pyarrow")
+    order = [("__clock", "ascending"), (id_col, "ascending")]
+    top = sorted_group_topk(rows, [group_col], order, k)
+    return top.select_columns([group_col, id_col])
 
 
 def per_group_sample(ds, group_col: str, id_col: str, k: int, seed: int = 7):
     """Deterministic reservoir-style sample: the ``k`` rows with the smallest
-    ``md5(id:seed)`` per group — the distributed equivalent of a seeded
-    uniform without-replacement sample per stratum, reproducible at any
-    parallelism. Collect-truncate accumulator: the shuffle carries ≤k
-    (hash, id) pairs per (block, group). Output: (group, id)."""
+    ``md5(id:seed)`` per group, ties by id — the distributed equivalent of a
+    seeded uniform without-replacement sample per stratum, reproducible at
+    any parallelism. :func:`sorted_group_topk` ordered by (md5 hex, id): the
+    sort carries ≤k rows per (block, group). Ids must be integers
+    (``TypeError``). Output: (group, id int64)."""
     import hashlib as _hl
 
-    from ray.data.aggregate import AggregateFn
-
-    def _key(v) -> str:
-        # ids must be integers: the zero-padded suffix is the deterministic
-        # tie-break that matches the SQL oracle's ORDER BY md5, id (20 digits
-        # covers the full int64 range)
+    def _md5(v) -> str:
         if not isinstance(v, int):
             raise TypeError(f"per_group_sample ids must be int, got {type(v).__name__}")
-        return f"{_hl.md5(f'{v}:{seed}'.encode()).hexdigest()}\x1f{v:020d}"
+        return _hl.md5(f"{v}:{seed}".encode()).hexdigest()
 
-    def _cap(items: list) -> list:
-        return sorted(items)[:k]
-
-    collect = AggregateFn(
-        init=lambda g: [],
-        merge=lambda a, b: _cap(a + b),
-        name="sampled",
-        accumulate_block=lambda acc, block: _cap(
-            acc + [_key(v) for v in block.column(id_col).to_pylist()]
-        ),
-    )
-    per_group = ds.groupby(group_col).aggregate(collect)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        groups, ids = [], []
-        for g, kept in zip(
-            batch.column(group_col).to_pylist(), batch.column("sampled").to_pylist()
-        ):
-            for enc in kept:
-                groups.append(g)
-                ids.append(int(enc.rsplit("\x1f", 1)[1]))
+    def hashes(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).to_pylist()
+        md5 = [_md5(v) for v in ids]  # checks before the cast
         return pa.table(
             {
-                group_col: pa.array(groups, batch.column(group_col).type),
+                group_col: batch.column(group_col),
                 id_col: pa.array(ids, pa.int64()),
+                "__md5": pa.array(md5, pa.string()),
             }
         )
 
-    return per_group.map_batches(explode, batch_format="pyarrow")
+    rows = ds.map_batches(hashes, batch_format="pyarrow")
+    order = [("__md5", "ascending"), (id_col, "ascending")]
+    top = sorted_group_topk(rows, [group_col], order, k)
+    return top.select_columns([group_col, id_col])
 
 
 def contamination_flags(

@@ -1,5 +1,5 @@
 """Corpus-level deduplication operators: exact, MinHash-LSH, SimHash,
-n-gram Jaccard, embedding-cosine.
+embedding-cosine, edit distance, prefix filter.
 
 The reference has no cross-document dedup (SURVEY.md §2.7) — these are the
 north-rule / training-data-pipeline capabilities, built Ray-Data-first:
@@ -18,10 +18,6 @@ north-rule / training-data-pipeline capabilities, built Ray-Data-first:
 - **SimHash**: 64-bit signature; 4×16-bit chunk banding finds candidates
   within Hamming distance ≤3 (pigeonhole: ≤3 differing bits leave ≥1 chunk
   intact).
-- **n-gram Jaccard (exact)**: inverted shingle index — explode
-  (shingle_hash, id, set_size) rows, bucket by shingle, explode co-occurring
-  pairs, count shared shingles per pair, filter by exact Jaccard. Fully
-  distributed; the shuffle carries (hash, id, size) rows, never documents.
 - **embedding-cosine**: exact all-pairs via block-pair tasks — the corpus is
   normalized once into object-store blocks, and each task scans one
   (block_i, block_j) pair. O(n²) work is inherent to exact all-pairs; it is
@@ -557,117 +553,6 @@ def simhash_pairs(
         "simhash_pairs",
     )
     return sorted_group_agg(cand, ["a", "b"], [])
-
-
-def ngram_jaccard_pairs(
-    ds,
-    id_col: str = "vid",
-    text_col: str = "text",
-    ngram: int = 2,
-    threshold: float = 0.7,
-    max_df: int | None = None,
-):
-    """EXACT word-n-gram Jaccard pairs (a < b, J ≥ threshold) via an inverted
-    shingle index — the distributed replacement for an all-pairs scan:
-
-    1. per-batch: explode each document's DISTINCT shingles as
-       (shingle_hash, id, set_size) rows;
-    2. groupby(shingle) collects co-occurring (id, size) members per shingle
-       (collect-list ``AggregateFn``, not per-group UDFs);
-    3. explode member pairs carrying both set sizes;
-    4. groupby(pair) count = intersection size; Jaccard from |A|,|B|,|A∩B|.
-
-    Every shuffle moves (hash, id, size) tuples — documents never move. The
-    shingle key is a 64-bit blake2b hash (collision odds ~n²·2⁻⁶⁴,
-    negligible). ``max_df`` optionally skips shingles shared by more than
-    that many documents — the scale valve against stop-shingle pair blowup;
-    leave ``None`` for exactness (a skipped shingle lowers measured overlap).
-    """
-    from ray.data.aggregate import AggregateFn
-
-    from vigil_ray.kernel.textstats import word_ngrams
-
-    def to_shingles(batch: pa.Table) -> pa.Table:
-        sh, vids, szs = [], [], []
-        for vid, text in zip(
-            batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist()
-        ):
-            grams = set(word_ngrams(text or "", ngram))
-            for g in grams:
-                sh.append(
-                    int.from_bytes(
-                        hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest(),
-                        "big",
-                    )
-                    >> 1
-                )
-                vids.append(vid)
-                szs.append(len(grams))
-        return pa.table(
-            {
-                "sh": pa.array(sh, pa.int64()),
-                "vid": pa.array(vids, pa.int64()),
-                "sz": pa.array(szs, pa.int64()),
-            }
-        )
-
-    shingles = ds.map_batches(to_shingles, batch_format="pyarrow")
-
-    collect_members = AggregateFn(
-        init=lambda k: [],
-        merge=lambda left, right: left + right,
-        name="members",
-        accumulate_block=lambda acc, block: acc
-        + list(zip(block.column("vid").to_pylist(), block.column("sz").to_pylist())),
-    )
-    buckets = shingles.groupby("sh").aggregate(collect_members)
-
-    def explode_pairs(batch: pa.Table) -> pa.Table:
-        a_, b_, sa_, sb_ = [], [], [], []
-        for members in batch.column("members").to_pylist():
-            if max_df is not None and len(members) > max_df:
-                continue
-            rows = sorted(tuple(m) for m in members)
-            for i in range(len(rows)):
-                va, sa = rows[i]
-                for j in range(i + 1, len(rows)):
-                    vb, sb = rows[j]
-                    a_.append(va)
-                    b_.append(vb)
-                    sa_.append(sa)
-                    sb_.append(sb)
-        return pa.table(
-            {
-                "a": pa.array(a_, pa.int64()),
-                "b": pa.array(b_, pa.int64()),
-                "sa": pa.array(sa_, pa.int64()),
-                "sb": pa.array(sb_, pa.int64()),
-            }
-        )
-
-    pairs = buckets.map_batches(explode_pairs, batch_format="pyarrow")
-    from ray.data.aggregate import Count
-
-    inter = pairs.groupby(["a", "b", "sa", "sb"]).aggregate(Count(alias_name="n"))
-
-    def by_jaccard(batch: pa.Table) -> pa.Table:
-        keep_a, keep_b = [], []
-        for a, b, sa, sb, n in zip(
-            batch.column("a").to_pylist(),
-            batch.column("b").to_pylist(),
-            batch.column("sa").to_pylist(),
-            batch.column("sb").to_pylist(),
-            batch.column("n").to_pylist(),
-        ):
-            union = sa + sb - n
-            if union and n / union >= threshold:
-                keep_a.append(a)
-                keep_b.append(b)
-        return pa.table(
-            {"a": pa.array(keep_a, pa.int64()), "b": pa.array(keep_b, pa.int64())}
-        )
-
-    return inter.map_batches(by_jaccard, batch_format="pyarrow")
 
 
 def embedding_pairs(

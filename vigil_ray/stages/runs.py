@@ -7,9 +7,12 @@ detection over a sorted block, and the two helpers built on it.
   fills them locally, with no driver collection and no second pass.
   Behind ``dedup.sorted_bucket_pairs``, ``corpus.sorted_group_min``,
   ``corpus.sorted_group_agg`` (hence ``sorted_group_sum`` and the distinct
-  pair reduce of the dedup operators), ``sortmerge.sorted_attach``,
+  pair reduce of the dedup operators), ``corpus.sorted_group_topk`` (hence
+  ``per_key_cap``, ``per_group_sample`` and ``per_group_weighted_sample``),
+  ``corpus.segment_dedup``'s reassembly, ``sortmerge.sorted_attach``,
   ``sortmerge.sorted_lookup_join``, ``sessions.sessionize``,
-  ``sessions.funnel_counts`` and ``lm.corpus_bigram_ppl``.
+  ``sessions.funnel_counts`` and ``lm.corpus_bigram_ppl``. No per-key
+  reducer uses Ray's hash ``groupby().aggregate``.
 - :func:`scan_sorted_blocks` is the ONE implementation of the block-carry
   scan (one output value per row, threaded across block boundaries) behind
   the window operators ``corpus.prefix_scan``, ``grouped_prefix_scan``,
